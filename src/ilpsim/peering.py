@@ -117,10 +117,11 @@ class Peer:
     def record_fulfilled(self, amount: int, settle_timeout: float = 5.0) -> None:
         """Outgoing-side bookkeeping after a verified fulfill; settles (and
         tops up the channel first if it is too small) when the threshold is
-        crossed."""
+        crossed. The ledger is asked for the channel size only then."""
         with self._settle_lock:
-            size = self._outgoing_channel_size()
-            cumulative = self.balance.on_outgoing_fulfilled(amount, channel_size=size)
+            cumulative = self.balance.on_outgoing_fulfilled(
+                amount, channel_size=self._outgoing_channel_size
+            )
             if cumulative is None and self.balance.settlement_deferred:
                 cumulative = self._top_up_and_retry(settle_timeout)
         if cumulative is not None:
@@ -130,44 +131,39 @@ class Peer:
         """Immediately settle whatever is owed, topping up the channel first
         if the claim would exceed its escrow."""
         with self._settle_lock:
-            size = self._outgoing_channel_size()
-            cumulative = self.balance.force_settle(channel_size=size)
+            cumulative = self.balance.force_settle(channel_size=self._outgoing_channel_size)
             if cumulative is None and self.balance.settlement_deferred:
                 channel_id = self.balance.outgoing_channel
-                needed = (
-                    self.balance.highest_signed_cumulative
-                    + (self.balance.policy.settle_to - self.balance.value)
-                )
-                shortfall = needed - size
+                shortfall = self._shortfall()
                 if shortfall > 0:
                     try:
                         self.ledger.fund_channel(channel_id, shortfall)
                     except lg.InsufficientFunds as exc:
                         log.warning("cannot top up channel %s: %s", channel_id, exc)
                         return None
-                cumulative = self.balance.force_settle(
-                    channel_size=self._outgoing_channel_size()
-                )
+                cumulative = self.balance.force_settle(channel_size=self._outgoing_channel_size)
         if cumulative is not None:
             self.settle(cumulative, timeout=timeout)
         return cumulative
 
-    def _outgoing_channel_size(self) -> Optional[int]:
-        if self.balance.outgoing_channel is None:
-            return None
+    def _outgoing_channel_size(self) -> int:
         return self.ledger.get_channel(self.balance.outgoing_channel).amount
+
+    def _shortfall(self) -> int:
+        """Escrow the outgoing channel lacks for a claim that settles the
+        balance to settle_to."""
+        needed = self.balance.highest_signed_cumulative + (
+            self.balance.policy.settle_to - self.balance.value
+        )
+        return needed - self._outgoing_channel_size()
 
     def _top_up_and_retry(self, timeout: float) -> Optional[int]:
         channel_id = self.balance.outgoing_channel
         if channel_id is None:
             return None
-        shortfall = (
-            self.balance.highest_signed_cumulative
-            + (self.balance.policy.settle_to - self.balance.value)
-            - self.ledger.get_channel(channel_id).amount
-        )
+        shortfall = self._shortfall()
         if shortfall <= 0:
-            return self.balance.retry_deferred_settlement(self._outgoing_channel_size())
+            return self.balance.retry_deferred_settlement(self._outgoing_channel_size)
         try:
             self.ledger.fund_channel(channel_id, shortfall)
         except lg.InsufficientFunds as exc:
@@ -180,7 +176,7 @@ class Peer:
             )
         except link.LinkError:
             pass
-        return self.balance.retry_deferred_settlement(self._outgoing_channel_size())
+        return self.balance.retry_deferred_settlement(self._outgoing_channel_size)
 
     def handle_claim_entry(self, data: bytes) -> None:
         info = json.loads(data)

@@ -11,11 +11,14 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from . import ledger as lg
 
 log = logging.getLogger(__name__)
+
+# Reads the current escrow of the outgoing channel (a ledger call).
+ChannelSize = Callable[[], int]
 
 
 class ChannelExhausted(Exception):
@@ -83,11 +86,15 @@ class BilateralBalance:
             self.value -= amount
 
     def on_outgoing_fulfilled(
-        self, amount: int, channel_size: Optional[int] = None
+        self, amount: int, channel_size: Optional[ChannelSize] = None
     ) -> Optional[int]:
         """Record that we now owe the peer `amount` more. If the balance
         crossed the settle threshold, return the cumulative claim amount to
-        sign (balance is reset to settle_to); otherwise None."""
+        sign (balance is reset to settle_to); otherwise None.
+
+        `channel_size` reads the outgoing channel's escrow. It is called at
+        most once, and only when a claim is due; a claim beyond the escrow
+        defers settlement. Without it the escrow is not checked."""
         with self._lock:
             self.value -= amount
             if self.value > self.policy.settle_threshold:
@@ -95,39 +102,35 @@ class BilateralBalance:
             if self.outgoing_channel is None:
                 self.settlement_deferred = True
                 return None
-            settle_amount = self.policy.settle_to - self.value
-            cumulative = self.highest_signed_cumulative + settle_amount
-            if channel_size is not None and cumulative > channel_size:
-                self.settlement_deferred = True
-                return None
-            self.highest_signed_cumulative = cumulative
-            self.value = self.policy.settle_to
-            self.settlement_deferred = False
-            return cumulative
+            return self._claim_to_settle_to(channel_size)
 
-    def force_settle(self, channel_size: Optional[int] = None) -> Optional[int]:
+    def force_settle(self, channel_size: Optional[ChannelSize] = None) -> Optional[int]:
         """Settle the full outstanding debt regardless of the threshold
         (used at teardown or on explicit request)."""
         with self._lock:
             if self.value >= self.policy.settle_to or self.outgoing_channel is None:
                 return None
-            cumulative = self.highest_signed_cumulative + (self.policy.settle_to - self.value)
-            if channel_size is not None and cumulative > channel_size:
-                self.settlement_deferred = True
-                return None
-            self.highest_signed_cumulative = cumulative
-            self.value = self.policy.settle_to
-            self.settlement_deferred = False
-            return cumulative
+            return self._claim_to_settle_to(channel_size)
 
     def retry_deferred_settlement(
-        self, channel_size: Optional[int] = None
+        self, channel_size: Optional[ChannelSize] = None
     ) -> Optional[int]:
         """After a channel top-up, re-run the settlement check."""
         with self._lock:
             if not self.settlement_deferred:
                 return None
             return self.on_outgoing_fulfilled(0, channel_size)
+
+    def _claim_to_settle_to(self, channel_size: Optional[ChannelSize]) -> Optional[int]:
+        # Caller holds the lock and has checked that a claim is due.
+        cumulative = self.highest_signed_cumulative + (self.policy.settle_to - self.value)
+        if channel_size is not None and cumulative > channel_size():
+            self.settlement_deferred = True
+            return None
+        self.highest_signed_cumulative = cumulative
+        self.value = self.policy.settle_to
+        self.settlement_deferred = False
+        return cumulative
 
     def receive_claim(
         self, claim: lg.Claim, ledger: lg.Ledger, redeem_eagerly: bool = True

@@ -263,15 +263,15 @@ class UplinkNode:
         send packets ("ilp"), query the address ("ildcp"), or register as the
         packet sink ("listen")."""
         port = port if port is not None else (self.config.local_app_port or DEFAULT_LOCAL_APP_PORT)
+        # Each endpoint is built with its handler: an app may send its first
+        # request as soon as the auth reply reaches it.
         self._local_listener = link.TcpListener(
             port,
             lambda _name, token: token == self.config.local_secret,
-            self._on_local_endpoint,
+            lambda _endpoint: None,
+            handler=self._handle_local_entries,
         )
         return self._local_listener.port
-
-    def _on_local_endpoint(self, endpoint: link.LinkEndpoint) -> None:
-        endpoint.handler = lambda ep, entries: self._handle_local_entries(ep, entries)
 
     def _handle_local_entries(self, endpoint, entries) -> list[btp.ProtocolEntry]:
         out: list[btp.ProtocolEntry] = []

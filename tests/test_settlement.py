@@ -1,9 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilpsim import ledger as lg
 from ilpsim import settlement as stl
+from ilpsim.peering import Peer
 
 
 def policy(maximum=20, threshold=-15, settle_to=0):
@@ -69,7 +72,7 @@ def test_outgoing_settles_at_threshold(channel_setup):
     _led, chan, _priv = channel_setup
     bal = stl.BilateralBalance("peer", policy())
     bal.outgoing_channel = chan.channel_id
-    cumulative = bal.on_outgoing_fulfilled(20, channel_size=chan.amount)
+    cumulative = bal.on_outgoing_fulfilled(20, channel_size=lambda: chan.amount)
     assert cumulative == 20
     assert bal.value == 0
     assert bal.highest_signed_cumulative == 20
@@ -79,7 +82,7 @@ def test_outgoing_below_threshold_no_claim(channel_setup):
     _led, chan, _priv = channel_setup
     bal = stl.BilateralBalance("peer", policy())
     bal.outgoing_channel = chan.channel_id
-    assert bal.on_outgoing_fulfilled(10, channel_size=chan.amount) is None
+    assert bal.on_outgoing_fulfilled(10, channel_size=lambda: chan.amount) is None
     assert bal.value == -10
 
 
@@ -111,10 +114,10 @@ def test_channel_exhausted_defers(channel_setup):
     _led, chan, _priv = channel_setup
     bal = stl.BilateralBalance("peer", policy(maximum=10**7, threshold=-10, settle_to=0))
     bal.outgoing_channel = chan.channel_id
-    assert bal.on_outgoing_fulfilled(chan.amount + 1, channel_size=chan.amount) is None
+    assert bal.on_outgoing_fulfilled(chan.amount + 1, channel_size=lambda: chan.amount) is None
     assert bal.settlement_deferred
     # top up, then the deferred settlement goes through
-    cumulative = bal.retry_deferred_settlement(channel_size=chan.amount * 2)
+    cumulative = bal.retry_deferred_settlement(channel_size=lambda: chan.amount * 2)
     assert cumulative == chan.amount + 1
     assert bal.value == 0
     assert not bal.settlement_deferred
@@ -153,7 +156,7 @@ def test_mirror_invariant_two_sides(channel_setup):
     for _ in range(4):
         amount = 5
         assert bob.on_incoming_prepare(amount)
-        cumulative = alice.on_outgoing_fulfilled(amount, channel_size=chan.amount)
+        cumulative = alice.on_outgoing_fulfilled(amount, channel_size=lambda: chan.amount)
         if cumulative is not None:
             claim = lg.sign_claim(priv, chan.channel_id, cumulative)
             bob.receive_claim(claim, led)
@@ -170,3 +173,73 @@ def test_accumulation_without_settlement():
         sender.on_outgoing_fulfilled(amount)
     assert sender.value == -n * amount
     assert receiver.value == n * amount
+
+
+class CountingLedger(lg.Ledger):
+    """A ledger that counts how often the channel size is read."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.get_channel_calls = 0
+
+    def get_channel(self, channel_id):
+        self.get_channel_calls += 1
+        return super().get_channel(channel_id)
+
+
+class RecordingEndpoint:
+    def __init__(self):
+        self.sent = []
+
+    def request(self, entries, timeout=5.0):
+        self.sent.extend(entries)
+        return ()
+
+
+def sent_claims(endpoint):
+    return [json.loads(e.data)["cumulative_amount"] for e in endpoint.sent if e.name == "claim"]
+
+
+@pytest.fixture
+def counted_peer():
+    priv, pub = lg.generate_keypair()
+    led = CountingLedger(lg.LedgerConfig("XRP", 6, 10**9))
+    led.create_and_fund("me", pub, 15)
+    led.create_and_fund("peer", b"", 0)
+    peer = Peer("peer", stl.BilateralBalance("peer", policy(threshold=-10)), led, "me", priv)
+    peer.peer_ledger_account = "peer"
+    peer.open_outgoing_channel(15)
+    peer.endpoint = RecordingEndpoint()
+    led.get_channel_calls = 0
+    return peer, led
+
+
+def test_record_fulfilled_reads_channel_only_when_claim_due(counted_peer):
+    peer, led = counted_peer
+    for _ in range(9):
+        peer.record_fulfilled(1)
+    assert peer.balance.value == -9
+    assert led.get_channel_calls == 0
+    peer.record_fulfilled(1)  # crosses settle_threshold -10
+    assert led.get_channel_calls == 1
+    assert sent_claims(peer.endpoint) == [10]
+    assert peer.balance.value == 0
+
+
+def test_record_fulfilled_claim_past_escrow_deferred_then_topped_up(counted_peer):
+    peer, led = counted_peer
+    channel_id = peer.balance.outgoing_channel
+    peer.record_fulfilled(12)
+    assert sent_claims(peer.endpoint) == [12]
+    # 24 > escrow 15 and "me" has no funds left for a top-up: deferred
+    peer.record_fulfilled(12)
+    assert peer.balance.settlement_deferred
+    assert peer.balance.highest_signed_cumulative == 12
+    assert sent_claims(peer.endpoint) == [12]
+    assert led.get_channel(channel_id).amount == 15
+    led.transfer(lg.GENESIS, "me", 100)
+    peer.record_fulfilled(1)
+    assert not peer.balance.settlement_deferred
+    assert sent_claims(peer.endpoint) == [12, 25]
+    assert led.get_channel(channel_id).amount == 25
+    assert peer.balance.value == 0

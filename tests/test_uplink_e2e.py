@@ -6,7 +6,7 @@ from datetime import timedelta
 
 import pytest
 
-from ilpsim import ilp, ledger as lg, scenario, spsp, stream, uplink
+from ilpsim import ilp, ledger as lg, link, scenario, spsp, stream, uplink
 from ilpsim.localapp import LocalApp
 
 
@@ -209,3 +209,30 @@ def test_everything_over_tcp():
         for node in nodes.values():
             node.close()
         listener.close()
+
+
+def test_local_app_first_request_never_refused():
+    """A local app may send as soon as its auth handshake returns; the node's
+    endpoint must already have its handler by then."""
+    ledger = lg.load_ledger(
+        {"ledgerId": "xrp", "assetCode": "XRP", "assetScale": 6, "genesisBalance": 10**8}
+    )
+    cfg = uplink.uplink_from_config(
+        {"name": "alice", "assetCode": "XRP", "assetScale": 6, "ledgerAccount": "alice"}
+    )
+    node = uplink.UplinkNode(cfg, ledger)
+    node.address = ilp.parse_address("g.conn1.alice")
+    port = node.listen_local(0)
+    refused = []
+    try:
+        for _ in range(100):
+            app = LocalApp("127.0.0.1", port)
+            try:
+                app.ildcp()
+            except link.PeerError as exc:
+                refused.append(exc)
+            finally:
+                app.close()
+    finally:
+        node.close()
+    assert refused == []
