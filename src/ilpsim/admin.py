@@ -1,7 +1,11 @@
-"""Tiny JSON-over-HTTP admin surface for running components.
+"""The one JSON-over-HTTP server: behind the admin API of running
+components, the ledger RPC (`ledger_http`) and the SPSP endpoint (`spsp`).
 
-Routes map (method, path) to zero-argument callables returning JSON-able
-dicts; queries from the CLI attach here."""
+Routes map (method, path) to callables that take the request body (bytes,
+empty for a GET) and return a JSON-able value, sent with status 200. A
+trailing slash on the path is ignored; an unknown route gets 404 and a
+route that raises gets 500 with {"error": message}. HTTP/1.0, one thread
+per request; queries from the CLI attach here."""
 
 from __future__ import annotations
 
@@ -9,49 +13,65 @@ import json
 import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
+from typing import Any, Callable
 
 log = logging.getLogger(__name__)
+
+Route = Callable[[bytes], Any]
+
+
+def _route_path(path: str) -> str:
+    return path.rstrip("/") or "/"
+
+
+class _Handler(BaseHTTPRequestHandler):
+    server: "_Server"
+
+    def _serve(self, method: str) -> None:
+        route = self.server.routes.get((method, _route_path(self.path)))
+        if route is None:
+            self.send_error(404)
+            return
+        request = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+        try:
+            body = json.dumps(route(request)).encode()
+        except Exception as exc:
+            log.exception("http route %s %s failed", method, self.path)
+            body = json.dumps({"error": str(exc)}).encode()
+            self.send_response(500)
+        else:
+            self.send_response(200)
+        self.send_header("Content-Type", self.server.content_type)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):  # noqa: N802 (http.server API)
+        self._serve("GET")
+
+    def do_POST(self):  # noqa: N802
+        self._serve("POST")
+
+    def log_message(self, fmt, *args):
+        log.debug("http: " + fmt, *args)
+
+
+class _Server(ThreadingHTTPServer):
+    routes: dict[tuple[str, str], Route]
+    content_type: str
 
 
 class AdminServer:
     def __init__(
         self,
-        routes: dict[tuple[str, str], Callable[[], dict]],
+        routes: dict[tuple[str, str], Route],
         port: int = 0,
         bind_address: str = "127.0.0.1",
+        content_type: str = "application/json",
     ):
-        outer_routes = dict(routes)
-
-        class Handler(BaseHTTPRequestHandler):
-            def _serve(self, method: str):
-                handler_fn = outer_routes.get((method, self.path.rstrip("/") or "/"))
-                if handler_fn is None:
-                    self.send_error(404)
-                    return
-                try:
-                    body = json.dumps(handler_fn()).encode()
-                except Exception as exc:
-                    log.exception("admin route %s %s failed", method, self.path)
-                    body = json.dumps({"error": str(exc)}).encode()
-                    self.send_response(500)
-                else:
-                    self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def do_GET(self):  # noqa: N802 (http.server API)
-                self._serve("GET")
-
-            def do_POST(self):  # noqa: N802
-                self._serve("POST")
-
-            def log_message(self, fmt, *args):
-                log.debug("admin http: " + fmt, *args)
-
-        self._httpd = ThreadingHTTPServer((bind_address, port), Handler)
+        self._httpd = _Server((bind_address, port), _Handler)
+        self._httpd.routes = {(method, _route_path(path)): fn for (method, path), fn in routes.items()}
+        self._httpd.content_type = content_type
         self.port = self._httpd.server_address[1]
         threading.Thread(target=self._httpd.serve_forever, daemon=True).start()
 

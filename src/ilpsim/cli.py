@@ -118,9 +118,9 @@ def connector_start(config_path: str, btp_port: int | None) -> None:
     except Exception as exc:
         raise click.ClickException(str(exc))
     routes = {
-        ("GET", "/info"): conn.snapshot,
-        ("GET", "/accounts"): lambda: conn.snapshot()["accounts"],
-        ("GET", "/routes"): lambda: {"routes": conn.routes.as_list()},
+        ("GET", "/info"): lambda _body: conn.snapshot(),
+        ("GET", "/accounts"): lambda _body: conn.snapshot()["accounts"],
+        ("GET", "/routes"): lambda _body: {"routes": conn.routes.as_list()},
     }
     api = admin.AdminServer(routes, port=int(config.get("adminApiPort", 0)))
     click.echo(f"connector {conn.name} btp port {listener.port} admin {api.url}")
@@ -161,8 +161,8 @@ def node_start(config_path: str) -> None:
     except Exception as exc:
         raise click.ClickException(str(exc))
     routes = {
-        ("GET", "/info"): instance.info,
-        ("POST", "/cleanup"): instance.cleanup,
+        ("GET", "/info"): lambda _body: instance.info(),
+        ("POST", "/cleanup"): lambda _body: instance.cleanup(),
     }
     api = admin.AdminServer(routes, port=int(config.get("adminApiPort", 7769)))
     click.echo(

@@ -8,7 +8,6 @@ Middleware order on an incoming Prepare is fixed: expiry, maxPacketAmount
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import threading
 from dataclasses import dataclass
@@ -156,97 +155,53 @@ class Connector:
         """Authenticate an inbound connection against an account's secret and
         wire it up as a peer (registering child routes as needed)."""
         account = self.accounts[account_id]
-        # The peer may fire requests the moment the auth response lands, so a
-        # handler must be in place before replying; it waits until the peer
-        # object is wired up.
-        ready = threading.Event()
-        holder: dict = {}
-
-        def early_handler(_ep, entries):
-            if not ready.wait(timeout=10):
-                raise link.BtpErrorResponse("T00", "peer not ready")
-            return self._handle_entries(holder["peer"], entries)
-
-        endpoint = link.accept_and_authenticate(
-            transport, lambda _name, token: token == account.secret, handler=early_handler
+        attached: list[ConnectorPeer] = []
+        link.accept_and_authenticate(
+            transport,
+            lambda _name, token: token == account.secret,
+            lambda endpoint: attached.append(self.attach_endpoint(account_id, endpoint)),
         )
-        peer = self.attach_endpoint(account_id, endpoint)
-        holder["peer"] = peer
-        ready.set()
-        return peer
+        return attached[0]
 
     def attach_endpoint(self, account_id: str, endpoint: link.LinkEndpoint) -> ConnectorPeer:
         account = self.accounts[account_id]
         peer = self._new_peer(account, endpoint.peer_auth_name or account.account_id)
-        peer.endpoint = endpoint
-        endpoint.handler = lambda _ep, entries: self._handle_entries(peer, entries)
+        self._serve(peer, endpoint)
         if account.relation == "child":
             self.register_child(peer)
-        else:
-            # static peer/parent: route inserted from config via add_route
-            pass
+        # static peer/parent: route inserted from config via add_route
         return peer
 
     def listen(self, port: int, host: str = "127.0.0.1") -> link.TcpListener:
         """Accept BTP-over-TCP connections; clients authenticate with their
         account id as the auth name and the account secret as the token."""
-        registry: dict[int, ConnectorPeer] = {}
-        ready: dict[int, threading.Event] = {}
-        lock = threading.Lock()
-
-        def event_for(endpoint) -> threading.Event:
-            with lock:
-                return ready.setdefault(id(endpoint), threading.Event())
-
-        def handler(endpoint, entries):
-            if not event_for(endpoint).wait(timeout=10):
-                raise link.BtpErrorResponse("T00", "peer not ready")
-            return self._handle_entries(registry[id(endpoint)], entries)
 
         def check(name: str, token: str) -> bool:
             account = self.accounts.get(name)
             return account is not None and token == account.secret
 
-        def on_endpoint(endpoint):
-            try:
-                peer = self.attach_endpoint(endpoint.peer_auth_name, endpoint)
-            except Exception:
-                log.exception("failed to attach incoming peer %r", endpoint.peer_auth_name)
-                endpoint.close()
-                return
-            registry[id(endpoint)] = peer
-            event_for(endpoint).set()
-
-        return link.TcpListener(port, check, on_endpoint, handler, host=host)
+        return link.TcpListener(
+            port, check, lambda endpoint: self.attach_endpoint(endpoint.peer_auth_name, endpoint),
+            host=host,
+        )
 
     def dial(self, account_id: str, transport, auth_name: str, token: str) -> ConnectorPeer:
         """Outbound peering (e.g. to another connector)."""
         account = self.accounts[account_id]
         peer = self._new_peer(account, auth_name)
-        endpoint = link.LinkEndpoint(
-            transport, "client", handler=lambda _ep, entries: self._handle_entries(peer, entries)
-        )
+        endpoint = link.LinkEndpoint(transport)
+        self._serve(peer, endpoint)
         endpoint.authenticate(auth_name, token)
-        peer.endpoint = endpoint
         return peer
 
     def establish_channel(self, peer_id: str) -> None:
-        """Open and announce the configured outgoing channel to a dialed peer,
-        asking the peer for its ledger identity first if unknown."""
+        """Open and announce the configured outgoing channel to a peer, unless
+        one is open, asking the peer for its ledger identity first if unknown."""
         peer = self.peers[peer_id]
         amount = peer.account.outgoing_channel_amount
         if amount <= 0 or peer.balance.outgoing_channel is not None:
             return
-        if peer.peer_ledger_account is None:
-            entries = peer.endpoint.request(
-                [peering.json_entry("ledger_identity", {})], timeout=self.forward_timeout
-            )
-            entry = next((e for e in entries if e.name == "ledger_identity"), None)
-            if entry is None:
-                raise link.LinkError("peer did not identify its ledger account")
-            peer.peer_ledger_account = json.loads(entry.data)["account"]
-        channel = peer.open_outgoing_channel(amount, peer.account.settle_delay)
-        peer.announce_channel(channel.channel_id, timeout=self.forward_timeout)
+        peer.open_channel(amount, peer.account.settle_delay, timeout=self.forward_timeout)
 
     def register_child(self, peer: ConnectorPeer) -> ilp.IlpAddress:
         address = self.address.with_suffix(peer.account.account_id, peer.auth_name)
@@ -263,60 +218,32 @@ class Connector:
 
     # -- link message handling
 
-    def _handle_entries(self, peer: ConnectorPeer, entries) -> list[btp.ProtocolEntry]:
-        out: list[btp.ProtocolEntry] = []
-        for entry in entries:
-            if entry.name == "ilp":
-                packet = ilp.decode_packet(entry.data)
-                if not isinstance(packet, ilp.PreparePacket):
-                    raise link.BtpErrorResponse("F00", "only Prepare may initiate an exchange")
-                response = self.handle_prepare(peer, packet)
-                out.append(peering.ilp_entry(ilp.encode_packet(response)))
-            elif entry.name == "ildcp":
-                out.append(self._ildcp_response(peer))
-            elif entry.name == "channel":
-                peer.handle_channel_entry(entry.data)
-                incoming = peer.ledger.get_channel(peer.balance.incoming_channel)
-                if incoming.amount < peer.account.min_incoming_channel_amount:
-                    peer.balance.incoming_channel = None
-                    raise link.BtpErrorResponse(
-                        "F00",
-                        f"channel of {incoming.amount} is below the minimum of "
-                        f"{peer.account.min_incoming_channel_amount}",
-                    )
-                self._maybe_open_reciprocal(peer)
-            elif entry.name == "claim":
-                peer.handle_claim_entry(entry.data)
-            elif entry.name == "ledger_identity":
-                out.append(
-                    peering.json_entry("ledger_identity", {"account": peer.own_ledger_account})
-                )
-            elif entry.name == "fund_channel":
-                pass  # escrow top-ups are visible on the shared ledger
-            else:
-                log.debug("%s: ignoring sub-protocol %r", self.name, entry.name)
-        return out
+    def _serve(self, peer: ConnectorPeer, endpoint: link.LinkEndpoint) -> None:
+        peer.attach(
+            endpoint,
+            lambda prepare: self.handle_prepare(peer, prepare),
+            ildcp=lambda _data: self._ildcp_response(peer),
+            channel=lambda data: self._accept_channel(peer, data),
+        )
 
     def _ildcp_response(self, peer: ConnectorPeer) -> btp.ProtocolEntry:
         if peer.child_address is None:
             raise link.BtpErrorResponse("F00", "no address assigned on this account")
-        return peering.json_entry(
-            "ildcp",
-            {
-                "ilp_address": str(peer.child_address),
-                "asset_code": peer.account.asset_code,
-                "asset_scale": peer.account.asset_scale,
-            },
+        return peering.ildcp_entry(
+            peer.child_address, peer.account.asset_code, peer.account.asset_scale
         )
 
-    def _maybe_open_reciprocal(self, peer: ConnectorPeer) -> None:
-        if peer.balance.outgoing_channel is not None:
-            return
-        amount = peer.account.outgoing_channel_amount
-        if amount <= 0:
-            return
-        channel = peer.open_outgoing_channel(amount, peer.account.settle_delay)
-        peer.announce_channel(channel.channel_id, timeout=self.forward_timeout)
+    def _accept_channel(self, peer: ConnectorPeer, data: bytes) -> None:
+        peer.handle_channel_entry(data)
+        incoming = peer.ledger.get_channel(peer.balance.incoming_channel)
+        if incoming.amount < peer.account.min_incoming_channel_amount:
+            peer.balance.incoming_channel = None
+            raise link.BtpErrorResponse(
+                "F00",
+                f"channel of {incoming.amount} is below the minimum of "
+                f"{peer.account.min_incoming_channel_amount}",
+            )
+        self.establish_channel(peer.peer_id)  # the reciprocal channel
 
     # -- packet pipeline
 

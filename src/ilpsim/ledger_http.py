@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from datetime import datetime
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
 import requests
 
 from . import ledger as lg
+from .admin import AdminServer
 
 log = logging.getLogger(__name__)
 
@@ -65,42 +64,22 @@ def _channel_from_json(data: dict) -> lg.PaymentChannel:
     )
 
 
-class LedgerApiServer:
+class LedgerApiServer(AdminServer):
+    """POST /rpc. A ledger error, or a request that is not a valid call,
+    is answered with status 200 and {"error": {"type", "message"}}."""
+
     def __init__(self, ledger: lg.Ledger, port: int = 0, bind_address: str = "127.0.0.1"):
         self.ledger = ledger
-        outer = self
+        super().__init__({("POST", "/rpc"): self._rpc}, port=port, bind_address=bind_address)
 
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):  # noqa: N802 (http.server API)
-                if self.path != "/rpc":
-                    self.send_error(404)
-                    return
-                length = int(self.headers.get("Content-Length", 0))
-                try:
-                    call = json.loads(self.rfile.read(length))
-                    body = outer._dispatch(call)
-                except lg.LedgerError as exc:
-                    body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-                except Exception as exc:
-                    log.exception("ledger rpc failed")
-                    body = {"error": {"type": "LedgerError", "message": str(exc)}}
-                payload = json.dumps(body).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
-
-            def log_message(self, fmt, *args):
-                log.debug("ledger http: " + fmt, *args)
-
-        self._httpd = ThreadingHTTPServer((bind_address, port), Handler)
-        self.port = self._httpd.server_address[1]
-        threading.Thread(target=self._httpd.serve_forever, daemon=True).start()
-
-    @property
-    def url(self) -> str:
-        return f"http://127.0.0.1:{self.port}"
+    def _rpc(self, request: bytes) -> dict:
+        try:
+            return self._dispatch(json.loads(request))
+        except lg.LedgerError as exc:
+            return {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        except Exception as exc:
+            log.exception("ledger rpc failed")
+            return {"error": {"type": "LedgerError", "message": str(exc)}}
 
     def _dispatch(self, call: dict) -> dict:
         method = call.get("method")
@@ -156,10 +135,6 @@ class LedgerApiServer:
         else:  # snapshot
             result = ledger.snapshot()
         return {"result": result}
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
 
 
 class RemoteLedger:

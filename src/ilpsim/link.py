@@ -230,13 +230,11 @@ class LinkEndpoint:
     def __init__(
         self,
         transport,
-        local_role: str,
         peer_auth_name: str = "",
         handler: Optional[MessageHandler] = None,
         authenticated: bool = False,
     ):
         self.transport = transport
-        self.local_role = local_role
         self.peer_auth_name = peer_auth_name
         self.handler = handler
         self.authenticated = authenticated
@@ -362,8 +360,9 @@ class LinkEndpoint:
         with self._pending_lock:
             slots = list(self._pending.values())
         for slot in slots:
-            slot["error"] = error
-            slot["event"].set()
+            if not slot["event"].is_set():  # keep an answer already delivered
+                slot["error"] = error
+                slot["event"].set()
 
     def close(self) -> None:
         self.transport.close()
@@ -385,11 +384,14 @@ def _error_frame(request_id: int, code: str, message: str) -> btp.BtpFrame:
 def accept_and_authenticate(
     transport,
     expected_tokens: dict[str, str],
-    handler: Optional[MessageHandler] = None,
+    on_endpoint: Optional[Callable[[LinkEndpoint], None]] = None,
     timeout: float = 5.0,
 ) -> LinkEndpoint:
     """Server side of the handshake: read the first frame, check the auth
-    entry against expected_tokens, acknowledge, and return a live endpoint."""
+    entry against expected_tokens, wire the endpoint up with on_endpoint
+    (which sets its handler), and only then acknowledge, so the peer's first
+    request finds the endpoint ready. If on_endpoint raises, the auth is
+    answered with an Error frame and the exception propagates."""
     deadline = time.monotonic() + timeout
     data = _recv_with_deadline(transport, deadline)
     if data is None:
@@ -415,10 +417,16 @@ def accept_and_authenticate(
         transport.send(btp.encode_frame(_error_frame(frame.request_id, "F00", "auth failed")))
         transport.close()
         raise AuthFailed(f"unknown peer or wrong token for {name!r}")
+    endpoint = LinkEndpoint(transport, peer_auth_name=name, authenticated=True)
+    if on_endpoint is not None:
+        try:
+            on_endpoint(endpoint)
+        except Exception as exc:
+            transport.send(btp.encode_frame(_error_frame(frame.request_id, "F00", f"refused: {exc}")))
+            endpoint.close()
+            raise
     transport.send(btp.encode_frame(btp.BtpFrame(btp.TYPE_RESPONSE, frame.request_id)))
-    return LinkEndpoint(
-        transport, "server", peer_auth_name=name, handler=handler, authenticated=True
-    )
+    return endpoint
 
 
 def _recv_with_deadline(transport, deadline: float) -> Optional[bytes]:
@@ -442,14 +450,14 @@ def _recv_with_deadline(transport, deadline: float) -> Optional[bytes]:
 
 
 class TcpListener:
-    """Accepts TCP connections and authenticates each as a BTP endpoint."""
+    """Accepts TCP connections and authenticates each as a BTP endpoint,
+    wired up by on_endpoint before the auth is acknowledged."""
 
     def __init__(
         self,
         port: int,
         expected_tokens: dict[str, str],
         on_endpoint: Callable[[LinkEndpoint], None],
-        handler: Optional[MessageHandler] = None,
         host: str = "127.0.0.1",
     ):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -459,7 +467,6 @@ class TcpListener:
         self.port = self._sock.getsockname()[1]
         self._expected = expected_tokens
         self._on_endpoint = on_endpoint
-        self._handler = handler
         self._closed = False
         threading.Thread(target=self._accept_loop, daemon=True).start()
 
@@ -472,13 +479,10 @@ class TcpListener:
             threading.Thread(target=self._handshake, args=(conn,), daemon=True).start()
 
     def _handshake(self, conn: socket.socket) -> None:
-        transport = TcpTransport(conn)
         try:
-            endpoint = accept_and_authenticate(transport, self._expected, self._handler)
-        except AuthFailed as exc:
-            log.info("auth failed on incoming connection: %s", exc)
-            return
-        self._on_endpoint(endpoint)
+            accept_and_authenticate(TcpTransport(conn), self._expected, self._on_endpoint)
+        except Exception as exc:
+            log.info("incoming connection refused: %s", exc)
 
     def close(self) -> None:
         self._closed = True

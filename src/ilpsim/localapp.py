@@ -7,12 +7,9 @@ halves of the SPSP send/serve commands."""
 from __future__ import annotations
 
 import json
-import logging
 from typing import Optional
 
 from . import ilp, link, peering, stream
-
-log = logging.getLogger(__name__)
 
 
 class LocalApp:
@@ -27,7 +24,9 @@ class LocalApp:
         transport = link.TcpTransport.connect(host, port)
         self.timeout = timeout
         self.stream_server: Optional[stream.StreamServer] = None
-        self.endpoint = link.LinkEndpoint(transport, "client", handler=self._handle)
+        # Prepares arrive only after listen() has set the stream server.
+        table = {"ilp": peering.ilp_handler(lambda p: self.stream_server.handle_prepare(p))}
+        self.endpoint = link.LinkEndpoint(transport, handler=peering.message_handler(table))
         self.endpoint.authenticate(name, token, timeout=timeout)
 
     def ildcp(self) -> dict:
@@ -55,18 +54,6 @@ class LocalApp:
         self.stream_server = server
         self.endpoint.request([peering.json_entry("listen", {})], timeout=self.timeout)
         return server
-
-    def _handle(self, _endpoint, entries):
-        out = []
-        for entry in entries:
-            if entry.name == "ilp" and self.stream_server is not None:
-                packet = ilp.decode_packet(entry.data)
-                if isinstance(packet, ilp.PreparePacket):
-                    response = self.stream_server.handle_prepare(packet)
-                    out.append(peering.ilp_entry(ilp.encode_packet(response)))
-            else:
-                log.debug("local app ignoring sub-protocol %r", entry.name)
-        return out
 
     def close(self) -> None:
         self.endpoint.close()

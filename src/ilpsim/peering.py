@@ -1,11 +1,32 @@
 """Money machinery shared by connectors and uplink nodes for one direct peer:
-channel announcements, automatic settlement claims, and claim receipt.
+channel announcements, automatic settlement claims, and claim receipt; and
+the one table that answers the sub-protocol entries of inbound BTP Messages.
 
-Sub-protocol entries exchanged over the link:
+Each receiving side registers a handler per entry name (see `dispatch`).
+Entries, and who answers them:
 
-    "channel"      JSON  payer announces a freshly opened outgoing channel
-    "claim"        JSON  signed cumulative settlement claim
-    "fund_channel" JSON  payer topped up the channel escrow
+    "ilp"             octets  an ILP Prepare; answered with its Fulfill or
+                              Reject by every Peer (connector: the packet
+                              pipeline; uplink: delivery to the local app or
+                              stream server), by the uplink's local-app port
+                              (sends it on to the parent) and by a LocalApp
+                              registered as sink (its stream server). A
+                              Fulfill or Reject is refused with F00.
+    "ildcp"           JSON    address and asset query; the connector for a
+                              child, the local-app port for a local app
+    "channel"         JSON    payer announces a freshly opened outgoing
+                              channel; every Peer (the connector also checks
+                              minIncomingChannelAmount and opens its own
+                              channel back)
+    "claim"           JSON    signed cumulative settlement claim; every Peer
+    "ledger_identity" JSON    asks for the answerer's ledger account; every
+                              Peer
+    "fund_channel"    JSON    payer topped up the channel escrow; every Peer
+                              (the top-up is visible on the shared ledger)
+    "listen"          JSON    a local app registers as the node's packet
+                              sink; the local-app port
+
+Any other name is ignored. The "auth" entry is handled by `link`.
 """
 
 from __future__ import annotations
@@ -13,11 +34,11 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from typing import Optional
+from typing import Callable, Optional
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
-from . import btp, ledger as lg, link
+from . import btp, ilp, ledger as lg, link
 from .events import EventLog, NULL_LOG
 from .settlement import BilateralBalance
 
@@ -32,6 +53,50 @@ def json_entry(name: str, payload: dict) -> btp.ProtocolEntry:
 
 def ilp_entry(packet_bytes: bytes) -> btp.ProtocolEntry:
     return btp.ProtocolEntry("ilp", btp.CONTENT_OCTET_STREAM, packet_bytes)
+
+
+def ildcp_entry(address: ilp.IlpAddress, asset_code: str, asset_scale: int) -> btp.ProtocolEntry:
+    return json_entry(
+        "ildcp",
+        {"ilp_address": str(address), "asset_code": asset_code, "asset_scale": asset_scale},
+    )
+
+
+# Takes an entry's data; returns the reply entry, or None for no reply.
+EntryHandler = Callable[[bytes], Optional[btp.ProtocolEntry]]
+PrepareHandler = Callable[[ilp.PreparePacket], ilp.IlpPacket]
+
+
+def dispatch(table: dict[str, EntryHandler], entries) -> list[btp.ProtocolEntry]:
+    """Answer an inbound Message: each entry goes to the handler registered
+    under its name, and the replies form the Response."""
+    out: list[btp.ProtocolEntry] = []
+    for entry in entries:
+        handler = table.get(entry.name)
+        if handler is None:
+            log.debug("ignoring sub-protocol %r", entry.name)
+            continue
+        reply = handler(entry.data)
+        if reply is not None:
+            out.append(reply)
+    return out
+
+
+def message_handler(table: dict[str, EntryHandler]) -> link.MessageHandler:
+    return lambda _endpoint, entries: dispatch(table, entries)
+
+
+def ilp_handler(handle_prepare: PrepareHandler) -> EntryHandler:
+    """The "ilp" entry: decode, refuse anything but a Prepare, encode the
+    reply. handle_prepare should look its method up at call time."""
+
+    def handle(data: bytes) -> btp.ProtocolEntry:
+        packet = ilp.decode_packet(data)
+        if not isinstance(packet, ilp.PreparePacket):
+            raise link.BtpErrorResponse("F00", "only Prepare may initiate an exchange")
+        return ilp_entry(ilp.encode_packet(handle_prepare(packet)))
+
+    return handle
 
 
 class Peer:
@@ -59,7 +124,44 @@ class Peer:
         self.events = event_log
         self._settle_lock = threading.Lock()
 
+    def attach(
+        self, endpoint: link.LinkEndpoint, handle_prepare: PrepareHandler, **entries: EntryHandler
+    ) -> None:
+        """Make endpoint the link to this peer and answer its entries: "ilp"
+        through handle_prepare, plus "channel", "claim", "ledger_identity"
+        and "fund_channel"; `entries` adds or replaces handlers by name.
+        Handlers look methods up per call, so patched methods take effect."""
+        table: dict[str, EntryHandler] = {
+            "ilp": ilp_handler(handle_prepare),
+            "channel": lambda data: self.handle_channel_entry(data),
+            "claim": lambda data: self.handle_claim_entry(data),
+            "ledger_identity": lambda _data: json_entry(
+                "ledger_identity", {"account": self.own_ledger_account}
+            ),
+            "fund_channel": lambda _data: None,
+            **entries,
+        }
+        self.endpoint = endpoint
+        endpoint.handler = message_handler(table)
+
     # -- channels
+
+    def open_channel(self, amount: int, settle_delay: int, timeout: float = 5.0) -> None:
+        """Open the outgoing channel and announce it, first asking the peer
+        for its ledger account if it has not given it."""
+        if self.peer_ledger_account is None:
+            entries = self.endpoint.request([json_entry("ledger_identity", {})], timeout=timeout)
+            entry = next((e for e in entries if e.name == "ledger_identity"), None)
+            if entry is None:
+                raise link.LinkError(f"peer {self.peer_id} did not identify its ledger account")
+            self.peer_ledger_account = json.loads(entry.data)["account"]
+        channel = self.open_outgoing_channel(amount, settle_delay)
+        announce = {
+            "channel_id": channel.channel_id,
+            "owner_account": self.own_ledger_account,
+            "asset_code": self.ledger.config.asset_code,
+        }
+        self.endpoint.request([json_entry("channel", announce)], timeout=timeout)
 
     def open_outgoing_channel(self, amount: int, settle_delay: int = DEFAULT_SETTLE_DELAY):
         if self.peer_ledger_account is None:
@@ -70,17 +172,6 @@ class Peer:
         )
         self.balance.outgoing_channel = channel.channel_id
         return channel
-
-    def announce_channel(self, channel_id: str, timeout: float = 5.0) -> None:
-        entry = json_entry(
-            "channel",
-            {
-                "channel_id": channel_id,
-                "owner_account": self.own_ledger_account,
-                "asset_code": self.ledger.config.asset_code,
-            },
-        )
-        self.endpoint.request([entry], timeout=timeout)
 
     def handle_channel_entry(self, data: bytes) -> None:
         info = json.loads(data)
@@ -134,6 +225,8 @@ class Peer:
             cumulative = self.balance.force_settle(channel_size=self._outgoing_channel_size)
             if cumulative is None and self.balance.settlement_deferred:
                 channel_id = self.balance.outgoing_channel
+                if channel_id is None:
+                    return None
                 shortfall = self._shortfall()
                 if shortfall > 0:
                     try:

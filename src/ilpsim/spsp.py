@@ -4,19 +4,14 @@ a serving endpoint, and the composite pay flow."""
 from __future__ import annotations
 
 import base64
-import json
-import logging
-import threading
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Union
 
 import requests
 
 from . import ilp, stream
+from .admin import AdminServer
 from .uplink import UplinkNode
-
-log = logging.getLogger(__name__)
 
 WELL_KNOWN_PATH = "/.well-known/pay"
 
@@ -78,7 +73,7 @@ def query(endpoint_url: str, timeout: float = 5.0) -> SpspResponse:
     return SpspResponse(destination, secret)
 
 
-class SpspServer:
+class SpspServer(AdminServer):
     """HTTP endpoint issuing fresh STREAM credentials per GET."""
 
     def __init__(
@@ -92,44 +87,27 @@ class SpspServer:
             raise RuntimeError("stream server has no uplink address; connect the node first")
         self.stream_server = stream_server
         self.path = path
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 (http.server API)
-                if self.path.rstrip("/") != outer.path.rstrip("/"):
-                    self.send_error(404)
-                    return
-                creds = outer.stream_server.generate_credentials()
-                body = json.dumps(
-                    {
-                        "destination_account": str(creds.destination_account),
-                        "shared_secret": base64.b64encode(creds.shared_secret).decode(),
-                    }
-                ).encode()
-                self.send_response(200)
-                self.send_header("Content-Type", "application/spsp4+json")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, fmt, *args):
-                log.debug("spsp http: " + fmt, *args)
-
         try:
-            self._httpd = ThreadingHTTPServer((bind_address, port), Handler)
+            super().__init__(
+                {("GET", path): self._credentials},
+                port=port,
+                bind_address=bind_address,
+                content_type="application/spsp4+json",
+            )
         except OSError as exc:
             raise OSError(f"cannot bind SPSP endpoint on port {port}: {exc}") from exc
-        self.port = self._httpd.server_address[1]
-        threading.Thread(target=self._httpd.serve_forever, daemon=True).start()
+
+    def _credentials(self, _request: bytes) -> dict:
+        creds = self.stream_server.generate_credentials()
+        return {
+            "destination_account": str(creds.destination_account),
+            "shared_secret": base64.b64encode(creds.shared_secret).decode(),
+        }
 
     @property
     def url(self) -> str:
         host, _port = self._httpd.server_address[:2]
         return f"http://{host}:{self.port}{self.path}"
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
 
 
 def serve(uplink: UplinkNode, port: int = 0, path: str = WELL_KNOWN_PATH) -> SpspServer:

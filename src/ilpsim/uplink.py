@@ -97,11 +97,9 @@ class UplinkNode:
     def connect(self, transport) -> None:
         """Authenticate to the parent over an established transport, learn the
         child address, and open the outgoing payment channel."""
-        endpoint = link.LinkEndpoint(
-            transport, "client", handler=lambda _ep, entries: self._handle_entries(entries)
-        )
+        endpoint = link.LinkEndpoint(transport)
+        self.parent.attach(endpoint, lambda prepare: self._handle_prepare(prepare))
         endpoint.authenticate(self.config.name, self.config.token, timeout=self.request_timeout)
-        self.parent.endpoint = endpoint
         entries = endpoint.request(
             [peering.json_entry("ildcp", {})], timeout=self.request_timeout
         )
@@ -112,37 +110,13 @@ class UplinkNode:
             self.stream_server.base_address = self.address.with_suffix("local")
         self.events.emit(self.parent.component, "address_assigned", address=str(self.address))
         if self.config.channel_amount > 0:
-            self._open_parent_channel()
+            self.parent.open_channel(
+                self.config.channel_amount, self.config.settle_delay, timeout=self.request_timeout
+            )
 
     def connect_tcp(self) -> None:
         uri = link.parse_btp_uri(self.config.parent_uri)
         self.connect(link.TcpTransport.connect(uri.host, uri.port))
-
-    def _open_parent_channel(self) -> None:
-        # The parent's ledger account is published in its channel announce; at
-        # startup we only know ours, so the channel is announced and the
-        # parent identifies itself in the reciprocal announce.
-        channel = self.ledger.open_channel(
-            self.config.ledger_account,
-            self._parent_ledger_account(),
-            self.config.channel_amount,
-            self.config.settle_delay,
-            self._pubkey,
-        )
-        self.parent.balance.outgoing_channel = channel.channel_id
-        self.parent.announce_channel(channel.channel_id, timeout=self.request_timeout)
-
-    def _parent_ledger_account(self) -> str:
-        if self.parent.peer_ledger_account is None:
-            # Ask the parent who it is on the ledger before opening escrow.
-            entries = self.parent.endpoint.request(
-                [peering.json_entry("ledger_identity", {})], timeout=self.request_timeout
-            )
-            entry = next((e for e in entries if e.name == "ledger_identity"), None)
-            if entry is None:
-                raise link.LinkError("parent did not identify its ledger account")
-            self.parent.peer_ledger_account = json.loads(entry.data)["account"]
-        return self.parent.peer_ledger_account
 
     # -- outgoing payments
 
@@ -193,28 +167,6 @@ class UplinkNode:
         if self.address is not None:
             server.base_address = self.address.with_suffix("local")
 
-    def _handle_entries(self, entries) -> list[btp.ProtocolEntry]:
-        out: list[btp.ProtocolEntry] = []
-        for entry in entries:
-            if entry.name == "ilp":
-                packet = ilp.decode_packet(entry.data)
-                if not isinstance(packet, ilp.PreparePacket):
-                    raise link.BtpErrorResponse("F00", "only Prepare may initiate an exchange")
-                out.append(peering.ilp_entry(ilp.encode_packet(self._handle_prepare(packet))))
-            elif entry.name == "channel":
-                self.parent.handle_channel_entry(entry.data)
-            elif entry.name == "claim":
-                self.parent.handle_claim_entry(entry.data)
-            elif entry.name == "ledger_identity":
-                out.append(
-                    peering.json_entry("ledger_identity", {"account": self.config.ledger_account})
-                )
-            elif entry.name == "fund_channel":
-                pass
-            else:
-                log.debug("node %s: ignoring sub-protocol %r", self.config.name, entry.name)
-        return out
-
     def _handle_prepare(self, prepare: ilp.PreparePacket) -> ilp.FulfillPacket | ilp.RejectPacket:
         triggered_by = self.address or ilp.parse_address("self.node")
         if self.address is None or not self.address.is_prefix_of(prepare.destination):
@@ -263,43 +215,30 @@ class UplinkNode:
         send packets ("ilp"), query the address ("ildcp"), or register as the
         packet sink ("listen")."""
         port = port if port is not None else (self.config.local_app_port or DEFAULT_LOCAL_APP_PORT)
-        # Each endpoint is built with its handler: an app may send its first
-        # request as soon as the auth reply reaches it.
         self._local_listener = link.TcpListener(
-            port,
-            lambda _name, token: token == self.config.local_secret,
-            lambda _endpoint: None,
-            handler=self._handle_local_entries,
+            port, lambda _name, token: token == self.config.local_secret, self._serve_local_app
         )
         return self._local_listener.port
 
-    def _handle_local_entries(self, endpoint, entries) -> list[btp.ProtocolEntry]:
-        out: list[btp.ProtocolEntry] = []
-        for entry in entries:
-            if entry.name == "ilp":
-                packet = ilp.decode_packet(entry.data)
-                if not isinstance(packet, ilp.PreparePacket):
-                    raise link.BtpErrorResponse("F00", "only Prepare may initiate an exchange")
-                out.append(peering.ilp_entry(ilp.encode_packet(self.send_packet(packet))))
-            elif entry.name == "ildcp":
-                if self.address is None:
-                    raise link.BtpErrorResponse("T00", "no address assigned yet")
-                out.append(
-                    peering.json_entry(
-                        "ildcp",
-                        {
-                            "ilp_address": str(self.address.with_suffix("local")),
-                            "asset_code": self.config.asset_code,
-                            "asset_scale": self.config.asset_scale,
-                        },
-                    )
-                )
-            elif entry.name == "listen":
-                self._local_sink = endpoint
-                out.append(peering.json_entry("listen", {"ok": True}))
-            else:
-                log.debug("local app sent unknown sub-protocol %r", entry.name)
-        return out
+    def _serve_local_app(self, endpoint: link.LinkEndpoint) -> None:
+        def ildcp(_data: bytes) -> btp.ProtocolEntry:
+            if self.address is None:
+                raise link.BtpErrorResponse("T00", "no address assigned yet")
+            return peering.ildcp_entry(
+                self.address.with_suffix("local"), self.config.asset_code, self.config.asset_scale
+            )
+
+        def listen(_data: bytes) -> btp.ProtocolEntry:
+            self._local_sink = endpoint
+            return peering.json_entry("listen", {"ok": True})
+
+        endpoint.handler = peering.message_handler(
+            {
+                "ilp": peering.ilp_handler(lambda prepare: self.send_packet(prepare)),
+                "ildcp": ildcp,
+                "listen": listen,
+            }
+        )
 
     # -- queries / teardown
 

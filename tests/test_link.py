@@ -10,6 +10,15 @@ def entry(name, data=b"x"):
     return btp.ProtocolEntry(name, 0, data)
 
 
+def installing(handler):
+    """An on_endpoint callback that gives the accepted endpoint a handler."""
+
+    def on_endpoint(endpoint):
+        endpoint.handler = handler
+
+    return on_endpoint
+
+
 def make_pair(server_handler=None, tokens=None):
     """Wire a client and an authenticated server endpoint over memory transports."""
     tokens = tokens or {"homeuser": "secret"}
@@ -18,13 +27,13 @@ def make_pair(server_handler=None, tokens=None):
 
     def server_side():
         try:
-            result["server"] = link.accept_and_authenticate(st, tokens, handler=server_handler)
+            result["server"] = link.accept_and_authenticate(st, tokens, installing(server_handler))
         except link.AuthFailed as exc:
             result["error"] = exc
 
     t = threading.Thread(target=server_side)
     t.start()
-    client = link.LinkEndpoint(ct, "client")
+    client = link.LinkEndpoint(ct)
     client.authenticate("homeuser", "secret")
     t.join(timeout=2)
     return client, result["server"]
@@ -48,7 +57,7 @@ def test_auth_wrong_token():
 
     t = threading.Thread(target=server_side)
     t.start()
-    client = link.LinkEndpoint(ct, "client")
+    client = link.LinkEndpoint(ct)
     with pytest.raises(link.AuthFailed):
         client.authenticate("homeuser", "wrong")
     t.join(timeout=2)
@@ -118,7 +127,7 @@ def test_request_on_closed_link():
 
 def test_timeout_on_silent_peer():
     ct, _st = link.memory_pair()
-    client = link.LinkEndpoint(ct, "client", authenticated=True)
+    client = link.LinkEndpoint(ct, authenticated=True)
     with pytest.raises(link.Timeout):
         client.request([entry("ilp")], timeout=0.1)
 
@@ -128,8 +137,8 @@ def test_unauthenticated_message_rejected():
         return [entry("ok")]
 
     ct, st = link.memory_pair()
-    server = link.LinkEndpoint(st, "server", handler=handler, authenticated=False)
-    client = link.LinkEndpoint(ct, "client", authenticated=True)
+    server = link.LinkEndpoint(st, handler=handler, authenticated=False)
+    client = link.LinkEndpoint(ct, authenticated=True)
     with pytest.raises(link.PeerError):
         client.request([entry("ilp")], timeout=2)
 
@@ -155,9 +164,13 @@ def test_tcp_transport_round_trip():
     def handler(_ep, entries):
         return [btp.ProtocolEntry("pong", 0, entries[0].data)]
 
-    listener = link.TcpListener(0, {"alice": "tok"}, endpoints.append, handler=handler)
+    def on_endpoint(endpoint):
+        endpoints.append(endpoint)
+        endpoint.handler = handler
+
+    listener = link.TcpListener(0, {"alice": "tok"}, on_endpoint)
     transport = link.TcpTransport.connect("127.0.0.1", listener.port)
-    client = link.LinkEndpoint(transport, "client")
+    client = link.LinkEndpoint(transport)
     client.authenticate("alice", "tok")
     out = client.request([entry("ping", b"hello")], timeout=2)
     assert out[0].data == b"hello"
@@ -184,3 +197,25 @@ def test_faulty_transport_drops_deterministically():
     for i in range(100):
         lossy2.send(bytes([i]))
     assert lossy2.dropped == lossy.dropped
+
+
+def test_auth_answered_with_error_when_wiring_fails():
+    ct, st = link.memory_pair()
+    errors = {}
+
+    def refuse(_endpoint):
+        raise ValueError("duplicate peer")
+
+    def server_side():
+        try:
+            link.accept_and_authenticate(st, {"homeuser": "secret"}, refuse)
+        except ValueError as exc:
+            errors["server"] = exc
+
+    t = threading.Thread(target=server_side)
+    t.start()
+    client = link.LinkEndpoint(ct)
+    with pytest.raises(link.AuthFailed, match="duplicate peer"):
+        client.authenticate("homeuser", "secret", timeout=2)
+    t.join(timeout=2)
+    assert "server" in errors

@@ -243,3 +243,17 @@ def test_record_fulfilled_claim_past_escrow_deferred_then_topped_up(counted_peer
     assert sent_claims(peer.endpoint) == [12, 25]
     assert led.get_channel(channel_id).amount == 25
     assert peer.balance.value == 0
+
+
+def test_settle_now_without_outgoing_channel_stays_deferred():
+    priv, pub = lg.generate_keypair()
+    led = lg.Ledger(lg.LedgerConfig("XRP", 6, 10**9))
+    led.create_and_fund("me", pub, 100)
+    peer = Peer("peer", stl.BilateralBalance("peer", policy(threshold=-10)), led, "me", priv)
+    peer.endpoint = RecordingEndpoint()
+    peer.record_fulfilled(12)
+    assert peer.balance.settlement_deferred
+    assert peer.settle_now() is None
+    assert peer.balance.value == -12
+    assert peer.balance.settlement_deferred
+    assert peer.endpoint.sent == []
