@@ -19,6 +19,9 @@ log = logging.getLogger(__name__)
 
 Route = Callable[[bytes], Any]
 
+# How often serve_forever checks for shutdown; close() waits up to this long.
+POLL_INTERVAL = 0.05
+
 
 def _route_path(path: str) -> str:
     return path.rstrip("/") or "/"
@@ -73,7 +76,7 @@ class AdminServer:
         self._httpd.routes = {(method, _route_path(path)): fn for (method, path), fn in routes.items()}
         self._httpd.content_type = content_type
         self.port = self._httpd.server_address[1]
-        threading.Thread(target=self._httpd.serve_forever, daemon=True).start()
+        threading.Thread(target=self._httpd.serve_forever, args=(POLL_INTERVAL,), daemon=True).start()
 
     @property
     def url(self) -> str:

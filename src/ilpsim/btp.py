@@ -77,7 +77,8 @@ def _encode_count(count: int) -> bytes:
     return encode_length(len(raw)) + raw
 
 
-def _read_count(buf: bytes, offset: int) -> tuple[int, int]:
+def read_count(buf: bytes, offset: int) -> tuple[int, int]:
+    """Read the var-octet entry count at offset; return (count, next_offset)."""
     raw, offset = read_var_octets(buf, offset)
     if not raw:
         raise CodecError("empty entry count")
@@ -102,7 +103,7 @@ def decode_frame(data: bytes) -> BtpFrame:
     body, end = read_var_octets(data, off)
     if end != len(data):
         raise LengthMismatch(f"{len(data) - end} trailing bytes after frame")
-    count, boff = _read_count(body, 0)
+    count, boff = read_count(body, 0)
     entries = []
     for _ in range(count):
         name_b, boff = read_var_octets(body, boff)  # single length byte, names < 128

@@ -295,7 +295,9 @@ class Connector:
             self.name, "prepare_forwarded", peer=to_peer.peer_id, amount=out_amount,
             condition=prepare.condition.hex(),
         )
-        response = self._forward(to_peer, out_prepare)
+        response = peering.send_prepare(
+            to_peer.endpoint, out_prepare, self.forward_timeout, self.address
+        )
         # 6/7. relay
         if isinstance(response, ilp.FulfillPacket):
             if not ilp.verify_fulfillment(response.fulfillment, prepare.condition):
@@ -315,25 +317,6 @@ class Connector:
             self.name, "reject_relayed", condition=prepare.condition.hex(), code=response.code,
         )
         return response
-
-    def _forward(
-        self, to_peer: ConnectorPeer, prepare: ilp.PreparePacket
-    ) -> ilp.FulfillPacket | ilp.RejectPacket:
-        try:
-            entries = to_peer.endpoint.request(
-                [peering.ilp_entry(ilp.encode_packet(prepare))], timeout=self.forward_timeout
-            )
-        except link.Timeout:
-            return self._reject(ilp.R00_TRANSFER_TIMED_OUT, "downstream timed out")
-        except link.LinkError as exc:
-            return self._reject(ilp.T00_INTERNAL_ERROR, f"downstream link error: {exc}")
-        reply = next((e for e in entries if e.name == "ilp"), None)
-        if reply is None:
-            return self._reject(ilp.T00_INTERNAL_ERROR, "downstream response carried no packet")
-        packet = ilp.decode_packet(reply.data)
-        if isinstance(packet, ilp.PreparePacket):
-            return self._reject(ilp.T00_INTERNAL_ERROR, "downstream answered with a Prepare")
-        return packet
 
     def _reject(self, code: str, message: str) -> ilp.RejectPacket:
         return ilp.RejectPacket(code=code, triggered_by=self.address, message=message)
@@ -369,7 +352,7 @@ def load_connector(
     known = {
         "ilp_address", "backend", "spread", "rates", "accounts", "adminApiPort",
         "minMessageWindow", "expiryDecrement", "forwardTimeout", "name",
-        "funding",  # consumed by the scenario harness
+        "funding", "ledgers", "btpPort",  # read by the scenario harness or the CLI
     }
     for key in set(config) - known:
         log.warning("connector config: ignoring unknown key %r", key)

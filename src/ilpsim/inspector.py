@@ -10,7 +10,7 @@ import base64
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import btp, ilp
+from . import btp, ilp, wire
 
 FRAME_NAMES = {
     btp.TYPE_RESPONSE: "Response",
@@ -48,27 +48,22 @@ class InspectorReport:
 
 
 class _Cursor:
+    """Reads fields with the codecs' own primitives, so the inspector and the
+    strict decoders agree on every length prefix and entry count."""
+
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise EOFError(
-                f"input ends at byte {len(self.data)}, needed {self.pos + n}"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
+        what = f"{n}-byte field at byte {self.pos}"
+        out, self.pos = wire.read_exact(self.data, self.pos, n, what)
         return out
 
     def take_varlen(self) -> bytes:
-        first = self.take(1)[0]
-        if first < 0x80:
-            length = first
-        elif first in (0x81, 0x82):
-            length = int.from_bytes(self.take(first - 0x80), "big")
-        else:
-            raise ValueError(f"unsupported length prefix 0x{first:02x} at byte {self.pos - 1}")
+        # Advance past the prefix first: on truncation the caller keeps the
+        # tail from self.pos, which must start at the field itself.
+        length, self.pos = wire.read_length(self.data, self.pos)
         return self.take(length)
 
 
@@ -97,7 +92,7 @@ def _inspect_btp(data: bytes) -> InspectorReport:
         report.fields["type"] = f"{frame_type} ({FRAME_NAMES[frame_type]})"
         report.fields["requestId"] = int.from_bytes(cur.take(4), "big")
         body = cur.take_varlen()
-    except (EOFError, ValueError) as exc:
+    except ValueError as exc:
         # Header intact but body truncated: keep inspecting what we have.
         if "requestId" not in report.fields:
             report.error = str(exc)
@@ -107,10 +102,7 @@ def _inspect_btp(data: bytes) -> InspectorReport:
     bcur = _Cursor(body)
     names: list[str] = []
     try:
-        marker = bcur.take(1)[0]
-        if marker != 0x01:
-            raise ValueError(f"bad entry-count marker 0x{marker:02x}")
-        count = bcur.take(1)[0]
+        count, bcur.pos = btp.read_count(body, 0)
         for _ in range(count):
             name = bcur.take_varlen().decode("ascii", "replace")
             names.append(name)
@@ -118,7 +110,7 @@ def _inspect_btp(data: bytes) -> InspectorReport:
             truncated = None
             try:
                 payload = bcur.take_varlen()
-            except (EOFError, ValueError) as exc:
+            except ValueError as exc:
                 # Keep whatever tail survived the cut and stop after this entry.
                 payload = bcur.data[bcur.pos :]
                 truncated = f"entry payload truncated ({exc})"
@@ -141,7 +133,7 @@ def _inspect_btp(data: bytes) -> InspectorReport:
             if truncated:
                 report.error = report.error or truncated
                 break
-    except (EOFError, ValueError) as exc:
+    except ValueError as exc:
         report.error = report.error or f"entries truncated ({exc})"
     report.fields["protocolNames"] = names
     return report
@@ -153,12 +145,12 @@ def _inspect_ilp(data: bytes) -> InspectorReport:
     try:
         packet_type = cur.take(1)[0]
         report.fields["type"] = f"{packet_type} ({PACKET_NAMES[packet_type]})"
-    except (EOFError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         report.error = f"unreadable packet header ({exc})"
         return report
     try:
         contents = cur.take_varlen()
-    except (EOFError, ValueError) as exc:
+    except ValueError as exc:
         contents = data[cur.pos :]
         report.error = f"packet truncated ({exc})"
     ccur = _Cursor(contents)
@@ -179,6 +171,6 @@ def _inspect_ilp(data: bytes) -> InspectorReport:
             report.fields["triggeredBy"] = ccur.take_varlen().decode("ascii", "replace")
             report.fields["message"] = ccur.take_varlen().decode("utf-8", "replace")
             report.fields["data"] = base64.b64encode(ccur.take_varlen()).decode()
-    except (EOFError, ValueError, ilp.BadExpiryDigits) as exc:
+    except ValueError as exc:
         report.error = report.error or f"fields truncated ({exc})"
     return report

@@ -11,6 +11,9 @@ from typing import Optional
 
 from . import ilp, link, peering, stream
 
+# triggered_by of the Rejects a LocalApp makes itself, when the node fails it
+LOCAL_APP_ADDRESS = ilp.parse_address("self.app")
+
 
 class LocalApp:
     def __init__(
@@ -30,21 +33,15 @@ class LocalApp:
         self.endpoint.authenticate(name, token, timeout=timeout)
 
     def ildcp(self) -> dict:
-        entries = self.endpoint.request(
-            [peering.json_entry("ildcp", {})], timeout=self.timeout
+        return json.loads(
+            peering.request_entry(self.endpoint, peering.json_entry("ildcp", {}), self.timeout)
         )
-        entry = next(e for e in entries if e.name == "ildcp")
-        return json.loads(entry.data)
 
     def send_packet(
         self, prepare: ilp.PreparePacket, timeout: Optional[float] = None
     ) -> ilp.FulfillPacket | ilp.RejectPacket:
-        entries = self.endpoint.request(
-            [peering.ilp_entry(ilp.encode_packet(prepare))],
-            timeout=timeout if timeout is not None else self.timeout,
-        )
-        reply = next(e for e in entries if e.name == "ilp")
-        return ilp.decode_packet(reply.data)
+        timeout = timeout if timeout is not None else self.timeout
+        return peering.send_prepare(self.endpoint, prepare, timeout, LOCAL_APP_ADDRESS)
 
     def listen(self, server: stream.StreamServer) -> stream.StreamServer:
         """Register as the node's packet sink, delivering to a stream server

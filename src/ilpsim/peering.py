@@ -1,6 +1,9 @@
 """Money machinery shared by connectors and uplink nodes for one direct peer:
-channel announcements, automatic settlement claims, and claim receipt; and
-the one table that answers the sub-protocol entries of inbound BTP Messages.
+channel announcements, automatic settlement claims, and claim receipt; the
+one table that answers the sub-protocol entries of inbound BTP Messages; and
+the one outbound path: `request_entry` sends an entry and returns the data of
+the reply entry of the same name, and `send_prepare` sends an ILP Prepare and
+returns its Fulfill or Reject, turning link failures into Rejects.
 
 Each receiving side registers a handler per entry name (see `dispatch`).
 Entries, and who answers them:
@@ -21,8 +24,6 @@ Entries, and who answers them:
     "claim"           JSON    signed cumulative settlement claim; every Peer
     "ledger_identity" JSON    asks for the answerer's ledger account; every
                               Peer
-    "fund_channel"    JSON    payer topped up the channel escrow; every Peer
-                              (the top-up is visible on the shared ledger)
     "listen"          JSON    a local app registers as the node's packet
                               sink; the local-app port
 
@@ -82,6 +83,38 @@ def dispatch(table: dict[str, EntryHandler], entries) -> list[btp.ProtocolEntry]
     return out
 
 
+def request_entry(endpoint: link.LinkEndpoint, entry: btp.ProtocolEntry, timeout: float) -> bytes:
+    """Send one entry and return the data of the reply entry with the same
+    name; raises LinkError if the reply has none."""
+    for reply in endpoint.request([entry], timeout=timeout):
+        if reply.name == entry.name:
+            return reply.data
+    raise link.LinkError(f"reply carried no {entry.name!r} entry")
+
+
+def send_prepare(
+    endpoint: link.LinkEndpoint,
+    prepare: ilp.PreparePacket,
+    timeout: float,
+    triggered_by: ilp.IlpAddress,
+) -> ilp.FulfillPacket | ilp.RejectPacket:
+    """Send a Prepare and return its Fulfill or Reject. A timeout becomes an
+    R00 Reject; any other link failure, or an answer that is a Prepare, a T00
+    Reject triggered by `triggered_by`."""
+    try:
+        data = request_entry(endpoint, ilp_entry(ilp.encode_packet(prepare)), timeout)
+    except link.Timeout as exc:
+        code, message = ilp.R00_TRANSFER_TIMED_OUT, f"timed out: {exc}"
+    except link.LinkError as exc:
+        code, message = ilp.T00_INTERNAL_ERROR, f"link error: {exc}"
+    else:
+        packet = ilp.decode_packet(data)
+        if not isinstance(packet, ilp.PreparePacket):
+            return packet
+        code, message = ilp.T00_INTERNAL_ERROR, "answered with a Prepare"
+    return ilp.RejectPacket(code=code, triggered_by=triggered_by, message=message)
+
+
 def message_handler(table: dict[str, EntryHandler]) -> link.MessageHandler:
     return lambda _endpoint, entries: dispatch(table, entries)
 
@@ -128,8 +161,8 @@ class Peer:
         self, endpoint: link.LinkEndpoint, handle_prepare: PrepareHandler, **entries: EntryHandler
     ) -> None:
         """Make endpoint the link to this peer and answer its entries: "ilp"
-        through handle_prepare, plus "channel", "claim", "ledger_identity"
-        and "fund_channel"; `entries` adds or replaces handlers by name.
+        through handle_prepare, plus "channel", "claim" and "ledger_identity";
+        `entries` adds or replaces handlers by name.
         Handlers look methods up per call, so patched methods take effect."""
         table: dict[str, EntryHandler] = {
             "ilp": ilp_handler(handle_prepare),
@@ -138,7 +171,6 @@ class Peer:
             "ledger_identity": lambda _data: json_entry(
                 "ledger_identity", {"account": self.own_ledger_account}
             ),
-            "fund_channel": lambda _data: None,
             **entries,
         }
         self.endpoint = endpoint
@@ -150,11 +182,8 @@ class Peer:
         """Open the outgoing channel and announce it, first asking the peer
         for its ledger account if it has not given it."""
         if self.peer_ledger_account is None:
-            entries = self.endpoint.request([json_entry("ledger_identity", {})], timeout=timeout)
-            entry = next((e for e in entries if e.name == "ledger_identity"), None)
-            if entry is None:
-                raise link.LinkError(f"peer {self.peer_id} did not identify its ledger account")
-            self.peer_ledger_account = json.loads(entry.data)["account"]
+            data = request_entry(self.endpoint, json_entry("ledger_identity", {}), timeout)
+            self.peer_ledger_account = json.loads(data)["account"]
         channel = self.open_outgoing_channel(amount, settle_delay)
         announce = {
             "channel_id": channel.channel_id,
@@ -213,8 +242,8 @@ class Peer:
             cumulative = self.balance.on_outgoing_fulfilled(
                 amount, channel_size=self._outgoing_channel_size
             )
-            if cumulative is None and self.balance.settlement_deferred:
-                cumulative = self._top_up_and_retry(settle_timeout)
+            if cumulative is None and self.balance.settlement_deferred and self._top_up():
+                cumulative = self.balance.retry_deferred_settlement(self._outgoing_channel_size)
         if cumulative is not None:
             self.settle(cumulative, timeout=settle_timeout)
 
@@ -223,17 +252,7 @@ class Peer:
         if the claim would exceed its escrow."""
         with self._settle_lock:
             cumulative = self.balance.force_settle(channel_size=self._outgoing_channel_size)
-            if cumulative is None and self.balance.settlement_deferred:
-                channel_id = self.balance.outgoing_channel
-                if channel_id is None:
-                    return None
-                shortfall = self._shortfall()
-                if shortfall > 0:
-                    try:
-                        self.ledger.fund_channel(channel_id, shortfall)
-                    except lg.InsufficientFunds as exc:
-                        log.warning("cannot top up channel %s: %s", channel_id, exc)
-                        return None
+            if cumulative is None and self.balance.settlement_deferred and self._top_up():
                 cumulative = self.balance.force_settle(channel_size=self._outgoing_channel_size)
         if cumulative is not None:
             self.settle(cumulative, timeout=timeout)
@@ -242,34 +261,24 @@ class Peer:
     def _outgoing_channel_size(self) -> int:
         return self.ledger.get_channel(self.balance.outgoing_channel).amount
 
-    def _shortfall(self) -> int:
-        """Escrow the outgoing channel lacks for a claim that settles the
-        balance to settle_to."""
+    def _top_up(self) -> bool:
+        """Fund the escrow the outgoing channel lacks for a claim that settles
+        the balance to settle_to. False if there is no outgoing channel or the
+        funds are short."""
+        channel_id = self.balance.outgoing_channel
+        if channel_id is None:
+            return False
         needed = self.balance.highest_signed_cumulative + (
             self.balance.policy.settle_to - self.balance.value
         )
-        return needed - self._outgoing_channel_size()
-
-    def _top_up_and_retry(self, timeout: float) -> Optional[int]:
-        channel_id = self.balance.outgoing_channel
-        if channel_id is None:
-            return None
-        shortfall = self._shortfall()
-        if shortfall <= 0:
-            return self.balance.retry_deferred_settlement(self._outgoing_channel_size)
-        try:
-            self.ledger.fund_channel(channel_id, shortfall)
-        except lg.InsufficientFunds as exc:
-            log.warning("cannot top up channel %s: %s", channel_id, exc)
-            return None
-        try:
-            self.endpoint.request(
-                [json_entry("fund_channel", {"channel_id": channel_id, "additional": shortfall})],
-                timeout=timeout,
-            )
-        except link.LinkError:
-            pass
-        return self.balance.retry_deferred_settlement(self._outgoing_channel_size)
+        shortfall = needed - self._outgoing_channel_size()
+        if shortfall > 0:
+            try:
+                self.ledger.fund_channel(channel_id, shortfall)
+            except lg.InsufficientFunds as exc:
+                log.warning("cannot top up channel %s: %s", channel_id, exc)
+                return False
+        return True
 
     def handle_claim_entry(self, data: bytes) -> None:
         info = json.loads(data)

@@ -1,6 +1,7 @@
 """Packetizing money transport: splits a payment into condition-bearing
-Prepares under a shared secret, manages an in-flight window with backoff,
-and reassembles the delivered total at the receiver.
+Prepares under a shared secret, sends them one at a time (one packet in
+flight), halves the packet size on F08 and gives up after a budget of
+consecutive rejects, and reassembles the delivered total at the receiver.
 
 The fulfillment for a packet is HMAC-SHA256(secret, data field); the
 condition is its SHA-256. The receiver recomputes it statelessly from the
@@ -30,7 +31,6 @@ from .clock import SimClock
 from .events import EventLog, NULL_LOG
 
 FRAME_VERSION = 1
-WINDOW_CAP = 20
 DEFAULT_RETRY_BUDGET = 10
 DEFAULT_PACKET_LIFETIME = 30.0
 
@@ -238,7 +238,6 @@ class StreamSender:
         self.packet_lifetime = packet_lifetime
         self.packet_timeout = packet_timeout
         self.retry_budget = retry_budget
-        self.window = 1
         self.state = "open"
         self.component = component
         self.events = event_log
@@ -262,14 +261,11 @@ class StreamSender:
                 report.packets_fulfilled += 1
                 if len(response.data) >= 8:
                     report.delivered_estimate += int.from_bytes(response.data[:8], "big")
-                self.window = min(self.window + 1, WINDOW_CAP)
                 consecutive_failures = 0
             else:
                 report.packets_rejected += 1
                 consecutive_failures += 1
-                if response.code in (ilp.T04_INSUFFICIENT_LIQUIDITY, ilp.T00_INTERNAL_ERROR):
-                    self.window = max(1, self.window // 2)
-                elif response.code == ilp.F08_AMOUNT_TOO_LARGE:
+                if response.code == ilp.F08_AMOUNT_TOO_LARGE:
                     packet_size = max(1, packet_size // 2)
                 if consecutive_failures >= self.retry_budget:
                     self.state = "closed"
@@ -280,7 +276,6 @@ class StreamSender:
                     raise PaymentError(
                         f"payment failed with {response.code}: {response.message}", report
                     )
-            assert 1 <= self.window <= WINDOW_CAP
         self.state = "closed"
         return report
 

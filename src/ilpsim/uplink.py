@@ -100,11 +100,9 @@ class UplinkNode:
         endpoint = link.LinkEndpoint(transport)
         self.parent.attach(endpoint, lambda prepare: self._handle_prepare(prepare))
         endpoint.authenticate(self.config.name, self.config.token, timeout=self.request_timeout)
-        entries = endpoint.request(
-            [peering.json_entry("ildcp", {})], timeout=self.request_timeout
+        info = json.loads(
+            peering.request_entry(endpoint, peering.json_entry("ildcp", {}), self.request_timeout)
         )
-        ildcp = next(e for e in entries if e.name == "ildcp")
-        info = json.loads(ildcp.data)
         self.address = ilp.parse_address(info["ilp_address"])
         if self.stream_server is not None:
             self.stream_server.base_address = self.address.with_suffix("local")
@@ -126,24 +124,9 @@ class UplinkNode:
         if self.parent.endpoint is None:
             raise link.LinkError("uplink is not connected")
         timeout = timeout if timeout is not None else self.request_timeout
-        try:
-            entries = self.parent.endpoint.request(
-                [peering.ilp_entry(ilp.encode_packet(prepare))], timeout=timeout
-            )
-        except link.Timeout:
-            return ilp.RejectPacket(
-                code=ilp.R00_TRANSFER_TIMED_OUT,
-                triggered_by=self.address or ilp.parse_address("self.node"),
-                message="uplink request timed out",
-            )
-        reply = next((e for e in entries if e.name == "ilp"), None)
-        if reply is None:
-            return ilp.RejectPacket(
-                code=ilp.T00_INTERNAL_ERROR,
-                triggered_by=self.address or ilp.parse_address("self.node"),
-                message="parent response carried no packet",
-            )
-        packet = ilp.decode_packet(reply.data)
+        packet = peering.send_prepare(
+            self.parent.endpoint, prepare, timeout, self.address or ilp.parse_address("self.node")
+        )
         if isinstance(packet, ilp.FulfillPacket) and ilp.verify_fulfillment(
             packet.fulfillment, prepare.condition
         ):
@@ -186,20 +169,7 @@ class UplinkNode:
 
     def _deliver_locally(self, prepare: ilp.PreparePacket) -> ilp.FulfillPacket | ilp.RejectPacket:
         if self._local_sink is not None:
-            try:
-                entries = self._local_sink.request(
-                    [peering.ilp_entry(ilp.encode_packet(prepare))], timeout=self.request_timeout
-                )
-                reply = next((e for e in entries if e.name == "ilp"), None)
-                if reply is not None:
-                    return ilp.decode_packet(reply.data)
-            except link.LinkError as exc:
-                log.warning("local app did not answer: %s", exc)
-            return ilp.RejectPacket(
-                code=ilp.T00_INTERNAL_ERROR,
-                triggered_by=self.address,
-                message="local application failed",
-            )
+            return peering.send_prepare(self._local_sink, prepare, self.request_timeout, self.address)
         if self.stream_server is not None:
             return self.stream_server.handle_prepare(prepare)
         return ilp.RejectPacket(

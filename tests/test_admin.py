@@ -2,6 +2,7 @@
 ledger RPC and the SPSP endpoint."""
 
 import json
+import time
 
 import pytest
 import requests
@@ -93,3 +94,10 @@ def test_spsp_content_type():
         assert resp.json()["destination_account"].startswith("g.conn1.bob.bob.local.")
     finally:
         server.close()
+
+
+def test_close_is_quick():
+    s = admin.AdminServer({("GET", "/info"): lambda _body: {}})
+    started = time.monotonic()
+    s.close()
+    assert time.monotonic() - started < 0.25

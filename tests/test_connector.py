@@ -1,3 +1,4 @@
+import logging
 from datetime import timedelta
 from decimal import Decimal
 
@@ -223,3 +224,20 @@ def test_duplicate_child_rejected(clock):
     )
     with pytest.raises(conn_mod.DuplicateChild):
         conn.register_child(dup)
+
+
+def test_load_connector_warns_only_for_unknown_keys(caplog):
+    config = {
+        "ilp_address": "g.conn1",
+        "backend": "one-to-one",
+        "ledgers": {"xrp": "http://127.0.0.1:1"},
+        "btpPort": 7768,
+    }
+    with caplog.at_level(logging.WARNING, logger="ilpsim.connector"):
+        conn_mod.load_connector(config, {})
+    assert caplog.records == []
+    with caplog.at_level(logging.WARNING, logger="ilpsim.connector"):
+        conn_mod.load_connector({**config, "btpPrt": 7768}, {})
+    assert [r.getMessage() for r in caplog.records] == [
+        "connector config: ignoring unknown key 'btpPrt'"
+    ]

@@ -1,0 +1,40 @@
+"""Fault-free scenario reports must stay byte-identical across refactors.
+
+`tests/golden/` holds the report of each built-in spec at seeds 0 and 1, as
+`ilpsim scenario run <spec> --seed <n>` writes it. Run this module as a
+script to rewrite the files from the current code:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ilpsim import scenario
+
+GOLDEN = Path(__file__).parent / "golden"
+SEEDS = (0, 1)
+CASES = [(name, seed) for name in scenario.builtin_scenario_names() for seed in SEEDS]
+
+
+def _path(name: str, seed: int) -> Path:
+    return GOLDEN / f"{name}_seed{seed}.json"
+
+
+def _report(name: str, seed: int) -> str:
+    report = scenario.run_scenario(scenario.load_builtin(name), seed=seed)
+    return json.dumps(report.to_json(), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_fault_free_report_matches_golden(name, seed):
+    assert _report(name, seed) == _path(name, seed).read_text()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, seed in CASES:
+        _path(name, seed).write_text(_report(name, seed))
+        print(_path(name, seed))

@@ -105,3 +105,12 @@ def test_render_is_indented_text():
     assert lines[0] == "BTP_PACKET:"
     assert "  requestId: 530421608" in lines
     assert any(line.startswith("      type: 12 (Prepare)") for line in lines)
+
+
+@pytest.mark.parametrize("count", [256, 300])
+def test_many_entries_agree_with_codec(count):
+    entries = tuple(btp.ProtocolEntry(f"p{i}", btp.CONTENT_TEXT, b"x") for i in range(count))
+    data = btp.encode_frame(btp.BtpFrame(btp.TYPE_MESSAGE, 7, entries))
+    report = inspector.inspect_bytes(data)
+    assert report.error is None
+    assert report.fields["protocolNames"] == [e.name for e in btp.decode_frame(data).entries]

@@ -123,8 +123,14 @@ def test_kill_link_then_conservation():
         {"action": "pay", "from": "alice", "to": "bob", "amount": 100},
         {"action": "kill-link", "node": "alice"},
         {"action": "assert", "check": "conservation"},
+        # a pay over the dead link fails with T00 Rejects instead of raising
+        {"action": "pay", "from": "alice", "to": "bob", "amount": 100},
     ]
     report = scenario.run_scenario(spec, seed=0)
+    first, second = report.payments
+    assert first["error"] is None and first["delivered"] == 100
+    assert "T00" in second["error"]
+    assert second["delivered"] == 0
     assert report.checks["conservation:xrp"] is True
 
 

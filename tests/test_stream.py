@@ -160,13 +160,14 @@ def make_scripted_sender(script, **kwargs):
     return stream.StreamSender(send, creds, **kwargs), server
 
 
-def test_window_growth_and_halving():
-    sender, _ = make_scripted_sender(["ok", "ok", "ok", "T04", "ok"])
+def test_t04_reject_is_retried_at_same_size():
+    sender, server = make_scripted_sender(["ok", "ok", "ok", "T04", "ok"])
     report = sender.send_money(50, 10)
     assert report.source_sent == 50
     assert report.packets_rejected == 1
-    # windows: 1 ->2 ->3 ->4, halved to 2 on T04, then grows again
-    assert 1 <= sender.window <= stream.WINDOW_CAP
+    # the rejected 10 is sent again; only F08 changes the packet size
+    assert report.packets_fulfilled == 5
+    assert server.total_received == 50
 
 
 def test_f08_halves_packet_size():
