@@ -151,17 +151,21 @@ class Connector:
             self.peers[peer_id] = peer
         return peer
 
-    def accept_transport(self, account_id: str, transport) -> ConnectorPeer:
-        """Authenticate an inbound connection against an account's secret and
-        wire it up as a peer (registering child routes as needed)."""
-        account = self.accounts[account_id]
-        attached: list[ConnectorPeer] = []
-        link.accept_and_authenticate(
+    def accept_transport(self, account_id: str, transport) -> None:
+        """Accept an inbound connection for one account: its endpoint
+        authenticates the peer against the account's secret and wires it up
+        as a peer (registering child routes as needed)."""
+        link.LinkEndpoint(
             transport,
-            lambda _name, token: token == account.secret,
-            lambda endpoint: attached.append(self.attach_endpoint(account_id, endpoint)),
+            accept=lambda endpoint, _name, token: self._accept(account_id, endpoint, token),
         )
-        return attached[0]
+
+    def _accept(self, account_id: str, endpoint: link.LinkEndpoint, token: str) -> bool:
+        account = self.accounts.get(account_id)
+        if account is None or token != account.secret:
+            return False
+        self.attach_endpoint(account_id, endpoint)
+        return True
 
     def attach_endpoint(self, account_id: str, endpoint: link.LinkEndpoint) -> ConnectorPeer:
         account = self.accounts[account_id]
@@ -175,14 +179,8 @@ class Connector:
     def listen(self, port: int, host: str = "127.0.0.1") -> link.TcpListener:
         """Accept BTP-over-TCP connections; clients authenticate with their
         account id as the auth name and the account secret as the token."""
-
-        def check(name: str, token: str) -> bool:
-            account = self.accounts.get(name)
-            return account is not None and token == account.secret
-
         return link.TcpListener(
-            port, check, lambda endpoint: self.attach_endpoint(endpoint.peer_auth_name, endpoint),
-            host=host,
+            port, lambda endpoint, name, token: self._accept(name, endpoint, token), host=host
         )
 
     def dial(self, account_id: str, transport, auth_name: str, token: str) -> ConnectorPeer:

@@ -4,6 +4,11 @@ Transports preserve message boundaries and ordering. Two implementations:
 an in-memory queue pair for simulation/tests, and 4-byte length-prefixed
 framing over TCP for multi-process runs. A fault-injecting wrapper can
 drop, delay or duplicate frames at this boundary.
+
+Every link opens with the BTP auth handshake (RFC 0023): the dialing side
+calls `LinkEndpoint.authenticate`; on the accepting side the endpoint's
+reader authenticates the first frame itself, through an `accept` callback,
+and closes a connection that has not sent it within AUTH_TIMEOUT.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ from . import btp
 log = logging.getLogger(__name__)
 
 AUTH_PROTOCOL = "auth"
+
+# Seconds an accepted connection may take to deliver its first frame.
+AUTH_TIMEOUT = 5.0
 
 
 class LinkError(Exception):
@@ -79,8 +87,13 @@ class MemoryTransport:
             raise LinkClosed("transport closed")
         self._outbox.put(data)
 
-    def recv(self) -> Optional[bytes]:
-        item = self._inbox.get()
+    def recv(self, deadline: Optional[float] = None) -> Optional[bytes]:
+        try:
+            item = self._inbox.get(
+                timeout=None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
+        except queue.Empty:
+            return None
         if item is _CLOSE:
             self._inbox.put(_CLOSE)  # keep poisoned for any other reader
             return None
@@ -120,24 +133,30 @@ class TcpTransport:
             except OSError as exc:
                 raise LinkClosed(str(exc)) from exc
 
-    def _recv_exact(self, n: int) -> Optional[bytes]:
+    def _recv_exact(self, n: int, deadline: Optional[float]) -> Optional[bytes]:
         buf = b""
-        while len(buf) < n:
-            try:
+        try:
+            while len(buf) < n:
+                if deadline is not None:
+                    self._sock.settimeout(max(0.0, deadline - time.monotonic()))
                 chunk = self._sock.recv(n - len(buf))
-            except OSError:
-                return None
-            if not chunk:
-                return None
-            buf += chunk
+                if not chunk:
+                    return None
+                buf += chunk
+            if deadline is not None:
+                self._sock.settimeout(None)
+        except OSError:  # includes the timeout of a read with a deadline
+            return None
         return buf
 
-    def recv(self) -> Optional[bytes]:
-        header = self._recv_exact(4)
+    def recv(self, deadline: Optional[float] = None) -> Optional[bytes]:
+        """The next message, or None on EOF, on a socket error, or if the
+        whole message is not in by `deadline` (a time.monotonic() value)."""
+        header = self._recv_exact(4, deadline)
         if header is None:
             return None
         (length,) = struct.unpack(">I", header)
-        return self._recv_exact(length)
+        return self._recv_exact(length, deadline)
 
     def close(self) -> None:
         if not self._closed:
@@ -184,8 +203,8 @@ class FaultyTransport:
             self.duplicated += 1
             self._inner.send(data)
 
-    def recv(self) -> Optional[bytes]:
-        return self._inner.recv()
+    def recv(self, deadline: Optional[float] = None) -> Optional[bytes]:
+        return self._inner.recv(deadline)
 
     def close(self) -> None:
         self._inner.close()
@@ -217,6 +236,8 @@ def parse_btp_uri(uri: str) -> BtpUri:
 # --- endpoint ---------------------------------------------------------------
 
 MessageHandler = Callable[["LinkEndpoint", tuple[btp.ProtocolEntry, ...]], list]
+# accept(endpoint, name, token) -> whether the token is good; see LinkEndpoint.
+AcceptCallback = Callable[["LinkEndpoint", str, str], bool]
 
 
 class LinkEndpoint:
@@ -225,19 +246,29 @@ class LinkEndpoint:
     A single reader thread owns the inbound side; incoming Messages are
     handled on worker threads so a handler that itself issues requests
     (a forwarding connector) cannot deadlock the link.
+
+    An endpoint built with `accept` is the accepting side of a link: its
+    reader authenticates the first frame inline, through the same decode
+    and Error-frame path as every later one. The frame must be a Message
+    carrying an auth entry name||0x00||token. `accept` checks the token
+    and wires the endpoint up (sets its handler) before the ack goes out,
+    so the peer's first request finds it ready; if it raises, the auth is
+    answered "refused: ...". A connection whose first frame does not
+    authenticate, or does not arrive within AUTH_TIMEOUT, is closed.
     """
 
     def __init__(
         self,
         transport,
-        peer_auth_name: str = "",
         handler: Optional[MessageHandler] = None,
         authenticated: bool = False,
+        accept: Optional[AcceptCallback] = None,
     ):
         self.transport = transport
-        self.peer_auth_name = peer_auth_name
+        self.peer_auth_name = ""
         self.handler = handler
         self.authenticated = authenticated
+        self._accept = accept
         self._next_id = 1
         self._id_lock = threading.Lock()
         self._pending: dict[int, dict] = {}
@@ -290,16 +321,24 @@ class LinkEndpoint:
     # -- inbound
 
     def _read_loop(self) -> None:
+        auth_deadline = None if self._accept is None else time.monotonic() + AUTH_TIMEOUT
         while True:
-            data = self.transport.recv()
+            data = self.transport.recv(auth_deadline)
             if data is None:
                 break
             try:
                 frame = btp.decode_frame(data)
             except Exception:
                 log.warning("dropping undecodable frame (%d bytes)", len(data))
-                continue
-            if frame.frame_type == btp.TYPE_MESSAGE:
+                if auth_deadline is None:
+                    continue
+                break
+            if auth_deadline is not None:
+                self._handle_message(frame)
+                if not self.authenticated:
+                    break
+                auth_deadline = None
+            elif frame.frame_type == btp.TYPE_MESSAGE:
                 if frame.request_id in self._seen_message_ids:
                     continue  # duplicate delivery
                 self._seen_message_ids[frame.request_id] = None
@@ -310,6 +349,9 @@ class LinkEndpoint:
                 ).start()
             else:
                 self._dispatch_response(frame)
+        if auth_deadline is not None:
+            log.info("closing a connection that did not authenticate")
+            self.transport.close()
         self._fail_all(LinkClosed("link closed"))
         self._closed.set()
 
@@ -332,7 +374,7 @@ class LinkEndpoint:
 
     def _handle_message(self, frame: btp.BtpFrame) -> None:
         try:
-            entries = self._process_message(frame.entries)
+            entries = self._process_message(frame)
             reply = btp.BtpFrame(btp.TYPE_RESPONSE, frame.request_id, tuple(entries))
         except BtpErrorResponse as exc:
             reply = _error_frame(frame.request_id, exc.code, exc.message)
@@ -344,17 +386,32 @@ class LinkEndpoint:
         except LinkClosed:
             pass
 
-    def _process_message(self, entries: tuple[btp.ProtocolEntry, ...]) -> list:
-        if any(e.name == AUTH_PROTOCOL for e in entries):
-            # A second auth attempt on an authenticated link is a protocol
-            # violation; the initial handshake is handled before the endpoint
-            # is constructed (see accept_and_authenticate).
+    def _process_message(self, frame: btp.BtpFrame) -> list:
+        if self._accept is not None and not self.authenticated:
+            return self._authenticate(frame)
+        if frame.entry(AUTH_PROTOCOL) is not None:
             raise BtpErrorResponse("F00", "already authenticated")
         if not self.authenticated:
             raise BtpErrorResponse("F00", "not authenticated")
         if self.handler is None:
             raise BtpErrorResponse("F00", "no handler registered")
-        return self.handler(self, entries)
+        return self.handler(self, frame.entries)
+
+    def _authenticate(self, frame: btp.BtpFrame) -> list:
+        auth = frame.entry(AUTH_PROTOCOL) if frame.frame_type == btp.TYPE_MESSAGE else None
+        if auth is None:
+            raise BtpErrorResponse("F00", "auth required")
+        name, _, token = auth.data.decode("ascii", "replace").partition("\x00")
+        self.peer_auth_name = name
+        try:
+            accepted = self._accept(self, name, token)
+        except Exception as exc:
+            log.info("refused %r: %s", name, exc)
+            raise BtpErrorResponse("F00", f"refused: {exc}") from exc
+        if not accepted:
+            raise BtpErrorResponse("F00", "auth failed")
+        self.authenticated = True
+        return []
 
     def _fail_all(self, error: Exception) -> None:
         with self._pending_lock:
@@ -381,92 +438,17 @@ def _error_frame(request_id: int, code: str, message: str) -> btp.BtpFrame:
     )
 
 
-def accept_and_authenticate(
-    transport,
-    expected_tokens: dict[str, str],
-    on_endpoint: Optional[Callable[[LinkEndpoint], None]] = None,
-    timeout: float = 5.0,
-) -> LinkEndpoint:
-    """Server side of the handshake: read the first frame, check the auth
-    entry against expected_tokens, wire the endpoint up with on_endpoint
-    (which sets its handler), and only then acknowledge, so the peer's first
-    request finds the endpoint ready. If on_endpoint raises, the auth is
-    answered with an Error frame and the exception propagates."""
-    deadline = time.monotonic() + timeout
-    data = _recv_with_deadline(transport, deadline)
-    if data is None:
-        raise AuthFailed("link closed before auth")
-    try:
-        frame = btp.decode_frame(data)
-    except Exception as exc:
-        transport.close()
-        raise AuthFailed(f"undecodable first frame: {exc}") from exc
-    auth = frame.entry(AUTH_PROTOCOL) if frame.frame_type == btp.TYPE_MESSAGE else None
-    if auth is None:
-        transport.send(btp.encode_frame(_error_frame(frame.request_id, "F00", "auth required")))
-        transport.close()
-        raise AuthFailed("first frame did not carry an auth entry")
-    name_b, _, token_b = auth.data.partition(b"\x00")
-    name = name_b.decode("ascii", "replace")
-    token = token_b.decode("ascii", "replace")
-    if callable(expected_tokens):
-        ok = expected_tokens(name, token)
-    else:
-        ok = expected_tokens.get(name) == token
-    if not ok:
-        transport.send(btp.encode_frame(_error_frame(frame.request_id, "F00", "auth failed")))
-        transport.close()
-        raise AuthFailed(f"unknown peer or wrong token for {name!r}")
-    endpoint = LinkEndpoint(transport, peer_auth_name=name, authenticated=True)
-    if on_endpoint is not None:
-        try:
-            on_endpoint(endpoint)
-        except Exception as exc:
-            transport.send(btp.encode_frame(_error_frame(frame.request_id, "F00", f"refused: {exc}")))
-            endpoint.close()
-            raise
-    transport.send(btp.encode_frame(btp.BtpFrame(btp.TYPE_RESPONSE, frame.request_id)))
-    return endpoint
-
-
-def _recv_with_deadline(transport, deadline: float) -> Optional[bytes]:
-    # Transports block on recv; run it on a helper thread so the server can
-    # bound how long an unauthenticated connection may sit idle.
-    box: list = []
-    done = threading.Event()
-
-    def _worker():
-        try:
-            box.append(transport.recv())
-        except Exception:
-            box.append(None)
-        done.set()
-
-    threading.Thread(target=_worker, daemon=True).start()
-    if not done.wait(max(0.0, deadline - time.monotonic())):
-        transport.close()
-        return None
-    return box[0]
-
-
 class TcpListener:
-    """Accepts TCP connections and authenticates each as a BTP endpoint,
-    wired up by on_endpoint before the auth is acknowledged."""
+    """Accepts TCP connections as BTP endpoints that authenticate through
+    `accept` (see LinkEndpoint)."""
 
-    def __init__(
-        self,
-        port: int,
-        expected_tokens: dict[str, str],
-        on_endpoint: Callable[[LinkEndpoint], None],
-        host: str = "127.0.0.1",
-    ):
+    def __init__(self, port: int, accept: AcceptCallback, host: str = "127.0.0.1"):
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((host, port))
         self._sock.listen()
         self.port = self._sock.getsockname()[1]
-        self._expected = expected_tokens
-        self._on_endpoint = on_endpoint
+        self._accept = accept
         self._closed = False
         threading.Thread(target=self._accept_loop, daemon=True).start()
 
@@ -476,13 +458,7 @@ class TcpListener:
                 conn, _ = self._sock.accept()
             except OSError:
                 break
-            threading.Thread(target=self._handshake, args=(conn,), daemon=True).start()
-
-    def _handshake(self, conn: socket.socket) -> None:
-        try:
-            accept_and_authenticate(TcpTransport(conn), self._expected, self._on_endpoint)
-        except Exception as exc:
-            log.info("incoming connection refused: %s", exc)
+            LinkEndpoint(TcpTransport(conn), accept=self._accept)
 
     def close(self) -> None:
         self._closed = True

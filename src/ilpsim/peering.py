@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
-from . import btp, ilp, ledger as lg, link
+from . import btp, ilp, ledger as lg, link, wire
 from .events import EventLog, NULL_LOG
 from .settlement import BilateralBalance
 
@@ -99,16 +99,18 @@ def send_prepare(
     triggered_by: ilp.IlpAddress,
 ) -> ilp.FulfillPacket | ilp.RejectPacket:
     """Send a Prepare and return its Fulfill or Reject. A timeout becomes an
-    R00 Reject; any other link failure, or an answer that is a Prepare, a T00
-    Reject triggered by `triggered_by`."""
+    R00 Reject; any other link failure, or an answer that is a Prepare or no
+    ILP packet at all, a T00 Reject triggered by `triggered_by`."""
     try:
         data = request_entry(endpoint, ilp_entry(ilp.encode_packet(prepare)), timeout)
+        packet = ilp.decode_packet(data)
     except link.Timeout as exc:
         code, message = ilp.R00_TRANSFER_TIMED_OUT, f"timed out: {exc}"
     except link.LinkError as exc:
         code, message = ilp.T00_INTERNAL_ERROR, f"link error: {exc}"
+    except wire.CodecError as exc:
+        code, message = ilp.T00_INTERNAL_ERROR, f"undecodable answer: {exc}"
     else:
-        packet = ilp.decode_packet(data)
         if not isinstance(packet, ilp.PreparePacket):
             return packet
         code, message = ilp.T00_INTERNAL_ERROR, "answered with a Prepare"

@@ -13,7 +13,6 @@ regardless."""
 from __future__ import annotations
 
 import json
-import threading
 import zlib
 from importlib import resources
 from dataclasses import dataclass, field
@@ -144,22 +143,10 @@ class Topology:
         account_a = cfg["from"]["account"]
         account_b = cfg["to"]["account"]
         t_a, t_b = self._link_pair(f"peering:{cfg['from']['connector']}:{cfg['to']['connector']}")
-        box: dict = {}
-
-        def accept_side():
-            try:
-                box["peer"] = conn_b.accept_transport(account_b, t_b)
-            except Exception as exc:  # surfaced via join below
-                box["error"] = exc
-
-        thread = threading.Thread(target=accept_side)
-        thread.start()
+        conn_b.accept_transport(account_b, t_b)
         dialer = conn_a.dial(
             account_a, t_a, cfg["from"]["connector"], conn_b.accounts[account_b].secret
         )
-        thread.join(timeout=10)
-        if "error" in box:
-            raise box["error"]
         conn_a.establish_channel(dialer.peer_id)
 
     def _wire_node(self, cfg: dict) -> None:
@@ -177,20 +164,8 @@ class Topology:
         )
         node.attach_stream_server(server)
         t_node, t_conn = self._link_pair(f"uplink:{name}")
-        box: dict = {}
-
-        def accept_side():
-            try:
-                box["peer"] = conn.accept_transport(account_id, t_conn)
-            except Exception as exc:
-                box["error"] = exc
-
-        thread = threading.Thread(target=accept_side)
-        thread.start()
+        conn.accept_transport(account_id, t_conn)
         node.connect(t_node)
-        thread.join(timeout=10)
-        if "error" in box:
-            raise box["error"]
         self.nodes[name] = node
         self.servers[name] = server
 

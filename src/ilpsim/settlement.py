@@ -132,11 +132,10 @@ class BilateralBalance:
         self.settlement_deferred = False
         return cumulative
 
-    def receive_claim(
-        self, claim: lg.Claim, ledger: lg.Ledger, redeem_eagerly: bool = True
-    ) -> int:
+    def receive_claim(self, claim: lg.Claim, ledger: lg.Ledger) -> int:
         """Apply a settlement claim from the peer: the peer's debt to us
-        shrinks by the new cumulative delta. Returns the delta."""
+        shrinks by the new cumulative delta, and the claim is redeemed on the
+        ledger at once. Returns the delta."""
         with self._lock:
             if claim.channel_id != self.incoming_channel:
                 raise lg.InvalidClaim(f"claim on unexpected channel {claim.channel_id}")
@@ -147,7 +146,7 @@ class BilateralBalance:
                 raise lg.InvalidClaim("claim cumulative went backwards")
             self.last_seen_incoming_cumulative = claim.cumulative_amount
             self.value -= delta
-        if redeem_eagerly and delta > 0:
+        if delta > 0:
             try:
                 ledger.redeem_claim(claim)
             except lg.StaleClaim:

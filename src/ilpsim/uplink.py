@@ -185,12 +185,13 @@ class UplinkNode:
         send packets ("ilp"), query the address ("ildcp"), or register as the
         packet sink ("listen")."""
         port = port if port is not None else (self.config.local_app_port or DEFAULT_LOCAL_APP_PORT)
-        self._local_listener = link.TcpListener(
-            port, lambda _name, token: token == self.config.local_secret, self._serve_local_app
-        )
+        self._local_listener = link.TcpListener(port, self._accept_local_app)
         return self._local_listener.port
 
-    def _serve_local_app(self, endpoint: link.LinkEndpoint) -> None:
+    def _accept_local_app(self, endpoint: link.LinkEndpoint, _name: str, token: str) -> bool:
+        if token != self.config.local_secret:
+            return False
+
         def ildcp(_data: bytes) -> btp.ProtocolEntry:
             if self.address is None:
                 raise link.BtpErrorResponse("T00", "no address assigned yet")
@@ -209,6 +210,7 @@ class UplinkNode:
                 "listen": listen,
             }
         )
+        return True
 
     # -- queries / teardown
 

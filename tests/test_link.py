@@ -1,3 +1,4 @@
+import socket
 import threading
 import time
 
@@ -10,58 +11,69 @@ def entry(name, data=b"x"):
     return btp.ProtocolEntry(name, 0, data)
 
 
-def installing(handler):
-    """An on_endpoint callback that gives the accepted endpoint a handler."""
+def accepting(tokens, handler=None):
+    """An accept callback that takes the tokens in `tokens` (name -> token)
+    and gives the accepted endpoint a handler."""
 
-    def on_endpoint(endpoint):
+    def accept(endpoint, name, token):
+        if tokens.get(name) != token:
+            return False
         endpoint.handler = handler
+        return True
 
-    return on_endpoint
+    return accept
 
 
-def make_pair(server_handler=None, tokens=None):
+def make_pair(server_handler=None):
     """Wire a client and an authenticated server endpoint over memory transports."""
-    tokens = tokens or {"homeuser": "secret"}
     ct, st = link.memory_pair()
-    result = {}
-
-    def server_side():
-        try:
-            result["server"] = link.accept_and_authenticate(st, tokens, installing(server_handler))
-        except link.AuthFailed as exc:
-            result["error"] = exc
-
-    t = threading.Thread(target=server_side)
-    t.start()
+    server = link.LinkEndpoint(st, accept=accepting({"homeuser": "secret"}, server_handler))
     client = link.LinkEndpoint(ct)
     client.authenticate("homeuser", "secret")
-    t.join(timeout=2)
-    return client, result["server"]
+    return client, server
+
+
+def refused_auth(accept, payload=b"homeuser\x00secret", entry_name="auth"):
+    """Send one Message to an accepting endpoint built with `accept`;
+    return the server, the PeerError the client got and whether the
+    client then saw the link close."""
+    ct, st = link.memory_pair()
+    server = link.LinkEndpoint(st, accept=accept)
+    client = link.LinkEndpoint(ct)
+    with pytest.raises(link.PeerError) as err:
+        client.request([entry(entry_name, payload)], timeout=2)
+    return server, err.value, client._closed.wait(2)
 
 
 def test_auth_success_tags_peer_name():
     client, server = make_pair()
     assert server.peer_auth_name == "homeuser"
+    assert server.authenticated
     assert client.authenticated
 
 
 def test_auth_wrong_token():
+    server, err, closed = refused_auth(accepting({"homeuser": "secret"}), b"homeuser\x00wrong")
+    assert (err.code, err.message) == ("F00", "auth failed")
+    assert closed and not server.authenticated
     ct, st = link.memory_pair()
-    errors = {}
-
-    def server_side():
-        try:
-            link.accept_and_authenticate(st, {"homeuser": "secret"})
-        except link.AuthFailed as exc:
-            errors["server"] = exc
-
-    t = threading.Thread(target=server_side)
-    t.start()
-    client = link.LinkEndpoint(ct)
+    link.LinkEndpoint(st, accept=accepting({"homeuser": "secret"}))
     with pytest.raises(link.AuthFailed):
-        client.authenticate("homeuser", "wrong")
-    t.join(timeout=2)
-    assert "server" in errors
+        link.LinkEndpoint(ct).authenticate("homeuser", "wrong")
+
+
+def test_first_frame_without_auth_entry_refused():
+    server, err, closed = refused_auth(accepting({}), entry_name="ilp")
+    assert (err.code, err.message) == ("F00", "auth required")
+    assert closed and not server.authenticated
+
+
+def test_undecodable_first_frame_closes_unanswered():
+    ct, st = link.memory_pair()
+    server = link.LinkEndpoint(st, accept=accepting({"homeuser": "secret"}))
+    ct.send(b"\xff not a frame")
+    assert server._closed.wait(2)
+    assert ct.recv() is None  # the close, with no Error frame before it
 
 
 def test_second_auth_is_protocol_violation():
@@ -159,16 +171,10 @@ def test_duplicate_message_handled_once():
 
 
 def test_tcp_transport_round_trip():
-    endpoints = []
-
     def handler(_ep, entries):
         return [btp.ProtocolEntry("pong", 0, entries[0].data)]
 
-    def on_endpoint(endpoint):
-        endpoints.append(endpoint)
-        endpoint.handler = handler
-
-    listener = link.TcpListener(0, {"alice": "tok"}, on_endpoint)
+    listener = link.TcpListener(0, accepting({"alice": "tok"}, handler))
     transport = link.TcpTransport.connect("127.0.0.1", listener.port)
     client = link.LinkEndpoint(transport)
     client.authenticate("alice", "tok")
@@ -200,22 +206,29 @@ def test_faulty_transport_drops_deterministically():
 
 
 def test_auth_answered_with_error_when_wiring_fails():
-    ct, st = link.memory_pair()
-    errors = {}
-
-    def refuse(_endpoint):
+    def refuse(_endpoint, _name, _token):
         raise ValueError("duplicate peer")
 
-    def server_side():
-        try:
-            link.accept_and_authenticate(st, {"homeuser": "secret"}, refuse)
-        except ValueError as exc:
-            errors["server"] = exc
-
-    t = threading.Thread(target=server_side)
-    t.start()
-    client = link.LinkEndpoint(ct)
+    server, err, closed = refused_auth(refuse)
+    assert (err.code, err.message) == ("F00", "refused: duplicate peer")
+    assert closed and not server.authenticated
+    ct, st = link.memory_pair()
+    link.LinkEndpoint(st, accept=refuse)
     with pytest.raises(link.AuthFailed, match="duplicate peer"):
-        client.authenticate("homeuser", "secret", timeout=2)
-    t.join(timeout=2)
-    assert "server" in errors
+        link.LinkEndpoint(ct).authenticate("homeuser", "secret", timeout=2)
+
+
+@pytest.mark.parametrize("sent", [b"", b"\x00\x00"], ids=["nothing", "half_a_length_prefix"])
+def test_idle_unauthenticated_connection_closed(monkeypatch, sent):
+    monkeypatch.setattr(link, "AUTH_TIMEOUT", 0.1)
+    calls = []
+    listener = link.TcpListener(0, lambda *args: calls.append(args) or True)
+    try:
+        with socket.create_connection(("127.0.0.1", listener.port), timeout=5) as sock:
+            started = time.monotonic()
+            sock.sendall(sent)
+            assert sock.recv(1) == b""  # EOF: the server closed the connection
+            assert time.monotonic() - started < 1.0
+    finally:
+        listener.close()
+    assert calls == []

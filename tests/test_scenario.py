@@ -1,9 +1,10 @@
 import copy
 import json
+import threading
 
 import pytest
 
-from ilpsim import scenario
+from ilpsim import link, scenario
 
 FAULT_TIMEOUTS = {"packet_timeout": 0.05, "forward_timeout": 0.05, "retry_budget": 5}
 
@@ -15,6 +16,25 @@ def test_builtin_names():
         "xrp_eth_two_connectors",
         "xrp_single_connector",
     ]
+
+
+@pytest.mark.parametrize("name", scenario.builtin_scenario_names())
+def test_building_a_topology_starts_only_link_threads(monkeypatch, name):
+    """Links authenticate inside their endpoints: building a topology starts
+    each endpoint's reader and the handlers of inbound Messages, nothing else."""
+    targets = []
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        targets.append(getattr(thread._target, "__func__", thread._target))
+        start(thread)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", recording_start)
+        topology = scenario.Topology(scenario.load_builtin(name), seed=0)
+    topology.close()
+    assert link.LinkEndpoint._read_loop in targets
+    assert set(targets) <= {link.LinkEndpoint._read_loop, link.LinkEndpoint._handle_message}
 
 
 def test_load_builtin_unknown():

@@ -5,7 +5,6 @@ the outbound path of the uplink and a local app when the other side answers
 an "ilp" entry badly."""
 
 import json
-import threading
 from datetime import datetime, timezone
 
 import pytest
@@ -103,13 +102,8 @@ def test_channel_below_minimum_refused_f00():
     conn = make_connector(ledger, minIncomingChannelAmount=1000)
     node = make_node(ledger)
     t_node, t_conn = link.memory_pair()
-    accepted = {}
-    thread = threading.Thread(
-        target=lambda: accepted.update(peer=conn.accept_transport("alice", t_conn))
-    )
-    thread.start()
+    conn.accept_transport("alice", t_conn)
     node.connect(t_node)
-    thread.join(timeout=5)
     try:
         channel = ledger.open_channel("alice", "conn1_xrp", 100, 3600, node._pubkey)
         announce = peering.json_entry(
@@ -118,7 +112,7 @@ def test_channel_below_minimum_refused_f00():
         with pytest.raises(link.PeerError) as err:
             node.parent.endpoint.request([announce], timeout=2)
         assert err.value.code == "F00"
-        assert accepted["peer"].balance.incoming_channel is None
+        assert conn.peers["alice.alice"].balance.incoming_channel is None
     finally:
         node.close()
 
@@ -150,6 +144,7 @@ PREPARE = ilp.PreparePacket(
 BAD_ILP_REPLIES = {
     "no_ilp_entry": lambda _data: None,
     "prepare": lambda _data: peering.ilp_entry(ilp.encode_packet(PREPARE)),
+    "not_an_ilp_packet": lambda _data: peering.ilp_entry(bytes.fromhex("0d0567617262616765")),
 }
 
 
@@ -160,10 +155,11 @@ def bad_ilp_port(reply):
         "ilp": reply,
     }
 
-    def wire(endpoint):
+    def accept(endpoint, _name, _token):
         endpoint.handler = peering.message_handler(table)
+        return True
 
-    return link.TcpListener(0, lambda _name, _token: True, wire)
+    return link.TcpListener(0, accept)
 
 
 @pytest.mark.parametrize("reply", BAD_ILP_REPLIES.values(), ids=BAD_ILP_REPLIES.keys())
