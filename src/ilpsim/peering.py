@@ -289,7 +289,7 @@ class Peer:
         )
         try:
             delta = self.balance.receive_claim(claim, self.ledger)
-        except lg.InvalidClaim as exc:
+        except lg.LedgerError as exc:
             raise link.BtpErrorResponse("F00", f"invalid claim: {exc}") from exc
         self.events.emit(
             self.component, "claim_received", peer=self.peer_id, delta=delta,

@@ -30,12 +30,11 @@ class RouteTable:
         self.entries.pop(prefix.segments, None)
 
     def lookup(self, destination: IlpAddress) -> Optional[str]:
-        best: Optional[tuple[str, ...]] = None
-        for prefix in self.entries:
-            if destination.segments[: len(prefix)] == prefix:
-                if best is None or len(prefix) > len(best):
-                    best = prefix
-        return self.entries[best] if best is not None else None
+        """Longest-prefix match: probe from the full address down to the empty prefix."""
+        for k in range(len(destination.segments), -1, -1):
+            if (hop := self.entries.get(destination.segments[:k])) is not None:
+                return hop
+        return None
 
     def as_list(self) -> list[dict]:
         return [

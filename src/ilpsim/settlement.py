@@ -133,22 +133,23 @@ class BilateralBalance:
         return cumulative
 
     def receive_claim(self, claim: lg.Claim, ledger: lg.Ledger) -> int:
-        """Apply a settlement claim from the peer: the peer's debt to us
-        shrinks by the new cumulative delta, and the claim is redeemed on the
-        ledger at once. Returns the delta."""
+        """Apply a settlement claim from the peer; return the new cumulative
+        delta. The ledger's redeem is the one verify of a claim that raises
+        the cumulative (any other is only verified), and the balance moves
+        only after the ledger has accepted the claim."""
         with self._lock:
             if claim.channel_id != self.incoming_channel:
                 raise lg.InvalidClaim(f"claim on unexpected channel {claim.channel_id}")
-            if not ledger.verify_claim(claim):
-                raise lg.InvalidClaim(claim.channel_id)
             delta = claim.cumulative_amount - self.last_seen_incoming_cumulative
-            if delta < 0:
+            if delta > 0:
+                try:
+                    ledger.redeem_claim(claim)
+                except lg.StaleClaim:
+                    pass
+            elif not ledger.verify_claim(claim):
+                raise lg.InvalidClaim(claim.channel_id)
+            elif delta < 0:
                 raise lg.InvalidClaim("claim cumulative went backwards")
             self.last_seen_incoming_cumulative = claim.cumulative_amount
             self.value -= delta
-        if delta > 0:
-            try:
-                ledger.redeem_claim(claim)
-            except lg.StaleClaim:
-                pass
         return delta

@@ -1,6 +1,7 @@
 import pytest
 
 from ilpsim import ledger as lg
+from ilpsim import settlement as stl
 from ilpsim.ledger_http import LedgerApiServer, RemoteLedger
 
 
@@ -113,3 +114,41 @@ def test_unknown_method_rejected(backend):
     _, remote = backend
     with pytest.raises(lg.LedgerError):
         remote._call("drop_tables")
+
+
+class CountingRemoteLedger(RemoteLedger):
+    """A remote ledger that records the method of each RPC it makes."""
+
+    def __init__(self, base_url):
+        self.rpcs = []
+        super().__init__(base_url)
+
+    def _call(self, method, **kwargs):
+        self.rpcs.append(method)
+        return super()._call(method, **kwargs)
+
+
+def test_claim_over_http_forged_refused_valid_in_one_rpc(backend):
+    local, remote = backend
+    priv, pub = lg.generate_keypair()
+    local.create_and_fund("alice", pub, 500)
+    local.create_and_fund("bob", b"", 0)
+    channel = local.open_channel("alice", "bob", 300, settle_delay=10, public_key=pub)
+    counted = CountingRemoteLedger(remote.base_url)
+    balance = stl.BilateralBalance(
+        "alice", stl.BalancePolicy(maximum=300, settle_threshold=-10, settle_to=0)
+    )
+    balance.incoming_channel = channel.channel_id
+    assert balance.on_incoming_prepare(120)
+
+    other_key, _ = lg.generate_keypair()
+    with pytest.raises(lg.InvalidClaim):
+        balance.receive_claim(lg.sign_claim(other_key, channel.channel_id, 120), counted)
+    assert balance.value == 120
+    assert local.account_info("bob").balance == 0
+
+    counted.rpcs.clear()
+    assert balance.receive_claim(lg.sign_claim(priv, channel.channel_id, 120), counted) == 120
+    assert counted.rpcs == ["redeem_claim"]
+    assert balance.value == 0
+    assert local.account_info("bob").balance == 120

@@ -29,6 +29,20 @@ def test_empty_table_misses():
     assert t.lookup(parse_address("g.anything")) is None
 
 
+def test_destination_shorter_than_every_route_misses():
+    assert table().lookup(parse_address("g")) is None
+
+
+def test_destination_equal_to_prefix_matches_it():
+    assert table().lookup(parse_address("g.conn1.ilsp_clients.mduni")) == "B"
+
+
+def test_remove_longest_match_falls_back_to_next_longest():
+    t = table()
+    t.remove("g.conn1.ilsp_clients.mduni")
+    assert t.lookup(parse_address("g.conn1.ilsp_clients.mduni.local.x")) == "A"
+
+
 def test_duplicate_prefix_rejected():
     t = table()
     with pytest.raises(DuplicateRoute):
@@ -66,6 +80,23 @@ def test_lookup_matches_linear_scan_oracle(prefixes, dest):
         t.insert(p, hop)
     destination = parse_address(".".join(dest))
     assert t.lookup(destination) == brute_force_lookup(entries, destination)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    prefixes=prefixes,
+    dest=st.lists(st.sampled_from(["g", "a", "b", "c", "d"]), min_size=1, max_size=6),
+)
+def test_catch_all_route_matches_linear_scan_oracle(prefixes, dest):
+    t = RouteTable(parse_address("g.own"))
+    entries = [(p, f"hop{i}") for i, p in enumerate(prefixes)]
+    for p, hop in entries:
+        t.insert(p, hop)
+    # An IlpAddress needs a segment, so the empty prefix goes into the table
+    # directly; the oracle, over parsed prefixes, falls back to it.
+    t.entries[()] = "catch-all"
+    destination = parse_address(".".join(dest))
+    assert t.lookup(destination) == (brute_force_lookup(entries, destination) or "catch-all")
 
 
 def test_one_to_one_pure_scale_shift():

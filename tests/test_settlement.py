@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ilpsim import ledger as lg
 from ilpsim import settlement as stl
+from ilpsim.link import BtpErrorResponse
 from ilpsim.peering import Peer
 
 
@@ -176,15 +177,21 @@ def test_accumulation_without_settlement():
 
 
 class CountingLedger(lg.Ledger):
-    """A ledger that counts how often the channel size is read."""
+    """A ledger that counts how often the channel size is read and how often
+    a claim's signature is verified."""
 
     def __init__(self, config):
         super().__init__(config)
         self.get_channel_calls = 0
+        self.verify_claim_calls = 0
 
     def get_channel(self, channel_id):
         self.get_channel_calls += 1
         return super().get_channel(channel_id)
+
+    def verify_claim(self, claim):
+        self.verify_claim_calls += 1
+        return super().verify_claim(claim)
 
 
 class RecordingEndpoint:
@@ -257,3 +264,83 @@ def test_settle_now_without_outgoing_channel_stays_deferred():
     assert peer.balance.value == -12
     assert peer.balance.settlement_deferred
     assert peer.endpoint.sent == []
+
+
+@pytest.fixture
+def owed_50():
+    """`me` is owed 50 by `peer`, which has a channel of 100 open to `me`."""
+    priv, pub = lg.generate_keypair()
+    led = CountingLedger(lg.LedgerConfig("XRP", 6, 10**9))
+    led.create_and_fund("peer", pub, 1000)
+    led.create_and_fund("me", b"", 0)
+    chan = led.open_channel("peer", "me", 100, 60, pub)
+    peer = Peer("peer", stl.BilateralBalance("peer", policy(maximum=100)), led, "me", priv)
+    peer.balance.incoming_channel = chan.channel_id
+    assert peer.balance.on_incoming_prepare(50)
+    return peer, led, priv
+
+
+def claim_entry(claim):
+    return json.dumps(
+        {
+            "channel_id": claim.channel_id,
+            "cumulative_amount": claim.cumulative_amount,
+            "signature": claim.signature.hex(),
+        }
+    ).encode()
+
+
+def assert_refused(peer, led, claim, value, last_seen, redeemed):
+    """The claim is refused with F00, and the balance and ledger stay put."""
+    with pytest.raises(BtpErrorResponse) as refused:
+        peer.handle_claim_entry(claim_entry(claim))
+    assert refused.value.code == "F00"
+    assert refused.value.message.startswith("invalid claim")
+    assert peer.balance.value == value
+    assert peer.balance.last_seen_incoming_cumulative == last_seen
+    assert led.account_info("me").balance == redeemed
+
+
+def forged(channel_id, cumulative):
+    other_key, _ = lg.generate_keypair()
+    return lg.sign_claim(other_key, channel_id, cumulative)
+
+
+def test_valid_claim_verified_once(owed_50):
+    peer, led, priv = owed_50
+    claim = lg.sign_claim(priv, peer.balance.incoming_channel, 50)
+    assert peer.balance.receive_claim(claim, led) == 50
+    assert led.verify_claim_calls == 1
+    assert peer.balance.value == 0
+    assert led.account_info("me").balance == 50
+
+
+def test_forged_claim_leaves_balance_unchanged(owed_50):
+    peer, led, _priv = owed_50
+    claim = forged(peer.balance.incoming_channel, 50)
+    with pytest.raises(lg.InvalidClaim):
+        peer.balance.receive_claim(claim, led)
+    assert led.verify_claim_calls == 1
+    assert_refused(peer, led, claim, value=50, last_seen=0, redeemed=0)
+
+
+def test_forged_replay_and_backwards_claim_refused(owed_50):
+    peer, led, priv = owed_50
+    channel_id = peer.balance.incoming_channel
+    peer.balance.receive_claim(lg.sign_claim(priv, channel_id, 50), led)
+    assert_refused(peer, led, forged(channel_id, 50), value=0, last_seen=50, redeemed=50)
+    with pytest.raises(lg.InvalidClaim, match="backwards"):
+        peer.balance.receive_claim(lg.sign_claim(priv, channel_id, 30), led)
+    assert_refused(
+        peer, led, lg.sign_claim(priv, channel_id, 30), value=0, last_seen=50, redeemed=50
+    )
+
+
+def test_claim_on_closed_channel_leaves_debt_unpaid(owed_50):
+    peer, led, priv = owed_50
+    channel_id = peer.balance.incoming_channel
+    led.close_channel(channel_id, "me")
+    claim = lg.sign_claim(priv, channel_id, 50)
+    with pytest.raises(lg.AlreadyClosed):
+        peer.balance.receive_claim(claim, led)
+    assert_refused(peer, led, claim, value=50, last_seen=0, redeemed=0)
