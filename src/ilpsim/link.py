@@ -1,20 +1,22 @@
 """BTP link endpoints over pluggable duplex message transports.
 
 Transports preserve message boundaries and ordering. Two implementations:
-an in-memory queue pair for simulation/tests, and 4-byte length-prefixed
-framing over TCP for multi-process runs. A fault-injecting wrapper can
-drop, delay or duplicate frames at this boundary.
+an in-process pair whose `send` calls the receiving endpoint directly, on
+the sender's thread, for simulation and tests; and 4-byte length-prefixed
+framing over TCP, read by one thread per endpoint, for multi-process runs.
+A fault-injecting wrapper can drop, delay or duplicate frames at this
+boundary.
 
 Every link opens with the BTP auth handshake (RFC 0023): the dialing side
-calls `LinkEndpoint.authenticate`; on the accepting side the endpoint's
-reader authenticates the first frame itself, through an `accept` callback,
-and closes a connection that has not sent it within AUTH_TIMEOUT.
+calls `LinkEndpoint.authenticate`; the accepting endpoint authenticates the
+first frame itself, through an `accept` callback, and closes a link whose
+first frame does not authenticate, or a TCP connection that has not sent it
+within AUTH_TIMEOUT.
 """
 
 from __future__ import annotations
 
 import logging
-import queue
 import random
 import socket
 import struct
@@ -70,46 +72,86 @@ class BtpErrorResponse(Exception):
 
 
 # --- transports -------------------------------------------------------------
-
-_CLOSE = object()
+#
+# A transport carries whole frames in order and delivers them to the
+# LinkEndpoint attached to it: `attach(endpoint)`, `send(data)`, `close()`.
 
 
 class MemoryTransport:
-    """One half of an in-process transport pair."""
+    """One half of an in-process link (see memory_pair).
 
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue):
-        self._inbox = inbox
-        self._outbox = outbox
+    `send` delivers a frame by calling the other half's endpoint on the
+    sender's thread; nothing is queued and no thread is started. Frames sent
+    before the other half has an endpoint are held for it, and are handed
+    over in order when one attaches, or read with `recv` if none does.
+    Closing either half closes both and fails the pending requests of both
+    endpoints at once.
+    """
+
+    def __init__(self, state: threading.Condition):
+        self._state = state  # shared by both halves
+        self.peer: Optional[MemoryTransport] = None
+        self._endpoint: Optional[LinkEndpoint] = None
+        self._held: list[bytes] = []
         self._closed = False
 
+    def attach(self, endpoint: "LinkEndpoint") -> None:
+        while True:
+            with self._state:
+                held, self._held = self._held, []
+                if not held:
+                    if self._closed:
+                        break
+                    self._endpoint = endpoint
+                    return
+            for data in held:
+                endpoint._receive(data)
+        endpoint._shut(LinkClosed("link closed"))
+
     def send(self, data: bytes) -> None:
-        if self._closed:
-            raise LinkClosed("transport closed")
-        self._outbox.put(data)
+        peer = self.peer
+        with self._state:
+            if self._closed:
+                raise LinkClosed("transport closed")
+            endpoint = peer._endpoint
+            if endpoint is None:
+                peer._held.append(data)
+                self._state.notify_all()
+                return
+        endpoint._receive(data)
 
     def recv(self, deadline: Optional[float] = None) -> Optional[bytes]:
-        try:
-            item = self._inbox.get(
-                timeout=None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-        except queue.Empty:
-            return None
-        if item is _CLOSE:
-            self._inbox.put(_CLOSE)  # keep poisoned for any other reader
-            return None
-        return item
+        """The next frame held for this half, waiting for one until
+        `deadline` (a time.monotonic() value); None once the link is closed
+        and nothing is held, or at the deadline."""
+        with self._state:
+            while not self._held:
+                wait = None if deadline is None else deadline - time.monotonic()
+                if self._closed or (wait is not None and wait <= 0):
+                    return None
+                self._state.wait(wait)
+            return self._held.pop(0)
 
     def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._outbox.put(_CLOSE)
-            self._inbox.put(_CLOSE)
+        with self._state:
+            if self._closed:
+                return
+            halves = (self, self.peer)
+            endpoints = [half._endpoint for half in halves]
+            for half in halves:
+                half._closed = True
+                half._endpoint = None
+            self._state.notify_all()
+        for endpoint in endpoints:
+            if endpoint is not None:
+                endpoint._shut(LinkClosed("link closed"))
 
 
 def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
-    a_to_b: queue.Queue = queue.Queue()
-    b_to_a: queue.Queue = queue.Queue()
-    return MemoryTransport(b_to_a, a_to_b), MemoryTransport(a_to_b, b_to_a)
+    state = threading.Condition()
+    a, b = MemoryTransport(state), MemoryTransport(state)
+    a.peer, b.peer = b, a
+    return a, b
 
 
 class TcpTransport:
@@ -125,6 +167,10 @@ class TcpTransport:
         sock = socket.create_connection((host, port), timeout=timeout)
         sock.settimeout(None)
         return cls(sock)
+
+    def attach(self, endpoint: "LinkEndpoint") -> None:
+        """Start the endpoint's reader thread on this socket."""
+        threading.Thread(target=endpoint._read_loop, daemon=True).start()
 
     def send(self, data: bytes) -> None:
         with self._send_lock:
@@ -203,6 +249,9 @@ class FaultyTransport:
             self.duplicated += 1
             self._inner.send(data)
 
+    def attach(self, endpoint: "LinkEndpoint") -> None:
+        self._inner.attach(endpoint)
+
     def recv(self, deadline: Optional[float] = None) -> Optional[bytes]:
         return self._inner.recv(deadline)
 
@@ -243,18 +292,26 @@ AcceptCallback = Callable[["LinkEndpoint", str, str], bool]
 class LinkEndpoint:
     """Authenticated request/response endpoint over a transport.
 
-    A single reader thread owns the inbound side; incoming Messages are
-    handled on worker threads so a handler that itself issues requests
-    (a forwarding connector) cannot deadlock the link.
+    Every inbound frame goes through `_receive`. A memory link calls it on
+    the sending thread and runs a Message's handler there too, so a handler
+    that itself issues requests (a forwarding connector) gets its answers
+    inside its own `send`. A TCP link calls it from the endpoint's one
+    reader thread, and runs each Message's handler on a thread of its own,
+    so that the reader can go on reading responses meanwhile.
 
-    An endpoint built with `accept` is the accepting side of a link: its
-    reader authenticates the first frame inline, through the same decode
-    and Error-frame path as every later one. The frame must be a Message
+    An endpoint built with `accept` is the accepting side of a link: it
+    authenticates the first frame inline, through the same decode and
+    Error-frame path as every later one. The frame must be a Message
     carrying an auth entry name||0x00||token. `accept` checks the token
     and wires the endpoint up (sets its handler) before the ack goes out,
     so the peer's first request finds it ready; if it raises, the auth is
-    answered "refused: ...". A connection whose first frame does not
-    authenticate, or does not arrive within AUTH_TIMEOUT, is closed.
+    answered "refused: ...". A link whose first frame does not
+    authenticate is closed, and so is a TCP connection whose first frame
+    does not arrive within AUTH_TIMEOUT. In-process memory links have no
+    such deadline: their dialer authenticates on the same thread.
+
+    Closing drops the handler and the `accept` callback, which refer back to
+    the components that own the endpoint.
     """
 
     def __init__(
@@ -274,9 +331,9 @@ class LinkEndpoint:
         self._pending: dict[int, dict] = {}
         self._pending_lock = threading.Lock()
         self._seen_message_ids: OrderedDict[int, None] = OrderedDict()
+        self._seen_lock = threading.Lock()
         self._closed = threading.Event()
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
+        transport.attach(self)
 
     # -- outbound
 
@@ -289,6 +346,9 @@ class LinkEndpoint:
     def request(
         self, entries: list[btp.ProtocolEntry], timeout: float = 5.0
     ) -> tuple[btp.ProtocolEntry, ...]:
+        """Send a Message and wait up to `timeout` for its answer. Over a
+        memory link the answer usually arrives while `send` runs, and the
+        timeout bounds the wait after it."""
         if self._closed.is_set():
             raise LinkClosed("endpoint closed")
         rid = self._allocate_id()
@@ -321,39 +381,48 @@ class LinkEndpoint:
     # -- inbound
 
     def _read_loop(self) -> None:
-        auth_deadline = None if self._accept is None else time.monotonic() + AUTH_TIMEOUT
-        while True:
-            data = self.transport.recv(auth_deadline)
-            if data is None:
-                break
-            try:
-                frame = btp.decode_frame(data)
-            except Exception:
-                log.warning("dropping undecodable frame (%d bytes)", len(data))
-                if auth_deadline is None:
-                    continue
-                break
-            if auth_deadline is not None:
+        """A TCP endpoint's reader: until EOF, or until an accepting
+        endpoint's first frame is AUTH_TIMEOUT late."""
+        deadline = None if self._accept is None else time.monotonic() + AUTH_TIMEOUT
+        while (data := self.transport.recv(None if self.authenticated else deadline)) is not None:
+            self._receive(data, threaded=True)
+        self.close()
+
+    def _receive(self, data: bytes, threaded: bool = False) -> None:
+        """Handle one inbound frame. An accepting endpoint's first frame must
+        authenticate, or the link is closed. A Message's handler runs on a
+        new thread if `threaded`, else on the calling one."""
+        try:
+            frame = btp.decode_frame(data)
+        except Exception:
+            log.warning("dropping undecodable frame (%d bytes)", len(data))
+            frame = None
+        if self._accept is not None and not self.authenticated:
+            if frame is not None:
                 self._handle_message(frame)
-                if not self.authenticated:
-                    break
-                auth_deadline = None
-            elif frame.frame_type == btp.TYPE_MESSAGE:
-                if frame.request_id in self._seen_message_ids:
-                    continue  # duplicate delivery
-                self._seen_message_ids[frame.request_id] = None
-                while len(self._seen_message_ids) > 2048:
-                    self._seen_message_ids.popitem(last=False)
-                threading.Thread(
-                    target=self._handle_message, args=(frame,), daemon=True
-                ).start()
+            if not self.authenticated:
+                log.info("closing a link that did not authenticate")
+                self.close()
+        elif frame is None:
+            return
+        elif frame.frame_type != btp.TYPE_MESSAGE:
+            self._dispatch_response(frame)
+        elif self._first_delivery(frame.request_id):
+            if threaded:
+                threading.Thread(target=self._handle_message, args=(frame,), daemon=True).start()
             else:
-                self._dispatch_response(frame)
-        if auth_deadline is not None:
-            log.info("closing a connection that did not authenticate")
-            self.transport.close()
-        self._fail_all(LinkClosed("link closed"))
-        self._closed.set()
+                self._handle_message(frame)
+
+    def _first_delivery(self, request_id: int) -> bool:
+        """Whether a Message with this id is new: a duplicate delivery is
+        dropped, even when both copies arrive at once on different threads."""
+        with self._seen_lock:
+            if request_id in self._seen_message_ids:
+                return False
+            self._seen_message_ids[request_id] = None
+            if len(self._seen_message_ids) > 2048:
+                self._seen_message_ids.popitem(last=False)
+            return True
 
     def _dispatch_response(self, frame: btp.BtpFrame) -> None:
         with self._pending_lock:
@@ -393,9 +462,10 @@ class LinkEndpoint:
             raise BtpErrorResponse("F00", "already authenticated")
         if not self.authenticated:
             raise BtpErrorResponse("F00", "not authenticated")
-        if self.handler is None:
+        handler = self.handler  # read once: closing may drop it meanwhile
+        if handler is None:
             raise BtpErrorResponse("F00", "no handler registered")
-        return self.handler(self, frame.entries)
+        return handler(self, frame.entries)
 
     def _authenticate(self, frame: btp.BtpFrame) -> list:
         auth = frame.entry(AUTH_PROTOCOL) if frame.frame_type == btp.TYPE_MESSAGE else None
@@ -421,10 +491,17 @@ class LinkEndpoint:
                 slot["error"] = error
                 slot["event"].set()
 
+    def _shut(self, error: Exception) -> None:
+        """Mark the endpoint closed, fail its pending requests with `error`
+        and let go of what it calls back into."""
+        self._closed.set()
+        self.handler = None
+        self._accept = None
+        self._fail_all(error)
+
     def close(self) -> None:
         self.transport.close()
-        self._closed.set()
-        self._fail_all(LinkClosed("endpoint closed"))
+        self._shut(LinkClosed("endpoint closed"))
 
 
 def _error_frame(request_id: int, code: str, message: str) -> btp.BtpFrame:

@@ -170,6 +170,101 @@ def test_duplicate_message_handled_once():
     assert calls == [b"dup"]
 
 
+def test_duplicate_message_from_many_threads_handled_once():
+    calls = []
+
+    def handler(_ep, entries):
+        calls.append(entries[0].data)
+        time.sleep(0.01)  # keep the first delivery in its handler while the others arrive
+        return []
+
+    client, server = make_pair(server_handler=handler)
+    frame = btp.encode_frame(btp.BtpFrame(btp.TYPE_MESSAGE, 999, (entry("ilp", b"dup"),)))
+    go = threading.Barrier(8)
+
+    def send():
+        go.wait()
+        client.transport.send(frame)
+
+    senders = [threading.Thread(target=send) for _ in range(8)]
+    for t in senders:
+        t.start()
+    for t in senders:
+        t.join(timeout=2)
+    assert calls == [b"dup"]
+
+
+def test_memory_link_handles_messages_on_the_sending_thread():
+    threads = []
+
+    def handler(_ep, entries):
+        threads.append(threading.get_ident())
+        return [entry("ok")]
+
+    client, _server = make_pair(server_handler=handler)
+    client.request([entry("ilp")], timeout=2)
+    assert threads == [threading.get_ident()]
+
+
+def test_handler_may_request_back_over_the_same_memory_link():
+    def client_handler(_ep, entries):
+        return [btp.ProtocolEntry("pong", 0, entries[0].data)]
+
+    def server_handler(endpoint, entries):
+        back = endpoint.request([entry("ping", entries[0].data)], timeout=1)
+        return [btp.ProtocolEntry("echo", 0, back[0].data)]
+
+    client, _server = make_pair(server_handler=server_handler)
+    client.handler = client_handler
+    started = time.monotonic()
+    out = client.request([entry("q", b"round")], timeout=1)
+    assert out[0].data == b"round"
+    assert time.monotonic() - started < 1.0
+
+
+def test_close_fails_an_outstanding_request_at_once():
+    ct, _st = link.memory_pair()  # the other half has no endpoint: nothing answers
+    client = link.LinkEndpoint(ct, authenticated=True)
+    errors = []
+
+    def call():
+        try:
+            client.request([entry("ilp")], timeout=5)
+        except link.LinkError as exc:
+            errors.append(exc)
+
+    caller = threading.Thread(target=call)
+    caller.start()
+    time.sleep(0.05)
+    started = time.monotonic()
+    client.close()
+    caller.join(timeout=5)
+    assert time.monotonic() - started < 1.0
+    assert len(errors) == 1 and isinstance(errors[0], link.LinkClosed)
+
+
+def test_closing_one_half_closes_both_endpoints():
+    client, server = make_pair()
+    client.close()
+    assert server._closed.is_set() and server.handler is None
+    with pytest.raises(link.LinkClosed):
+        server.request([entry("ilp")], timeout=5)
+
+
+def test_frames_sent_before_attach_are_delivered_in_order():
+    ct, st = link.memory_pair()
+    for data in (b"a", b"b", b"c"):
+        ct.send(btp.encode_frame(btp.BtpFrame(btp.TYPE_MESSAGE, data[0], (entry("q", data),))))
+    received = []
+
+    def handler(_ep, entries):
+        received.append(entries[0].data)
+        return []
+
+    link.LinkEndpoint(st, handler=handler, authenticated=True)
+    assert received == [b"a", b"b", b"c"]
+
+
 def test_tcp_transport_round_trip():
     def handler(_ep, entries):
         return [btp.ProtocolEntry("pong", 0, entries[0].data)]

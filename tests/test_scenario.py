@@ -1,10 +1,12 @@
 import copy
+import gc
 import json
 import threading
+import weakref
 
 import pytest
 
-from ilpsim import link, scenario
+from ilpsim import scenario
 
 FAULT_TIMEOUTS = {"packet_timeout": 0.05, "forward_timeout": 0.05, "retry_budget": 5}
 
@@ -18,23 +20,53 @@ def test_builtin_names():
     ]
 
 
-@pytest.mark.parametrize("name", scenario.builtin_scenario_names())
-def test_building_a_topology_starts_only_link_threads(monkeypatch, name):
-    """Links authenticate inside their endpoints: building a topology starts
-    each endpoint's reader and the handlers of inbound Messages, nothing else."""
-    targets = []
+def recording_thread_starts(patch) -> list:
+    """Patch threading.Thread.start to record every thread started."""
+    started = []
     start = threading.Thread.start
 
     def recording_start(thread):
-        targets.append(getattr(thread._target, "__func__", thread._target))
+        started.append(thread)
         start(thread)
 
+    patch.setattr(threading.Thread, "start", recording_start)
+    return started
+
+
+@pytest.mark.parametrize("name", scenario.builtin_scenario_names())
+def test_building_a_topology_starts_only_link_threads(monkeypatch, name):
+    """Memory links deliver frames by direct call and authenticate inside
+    their endpoints: building a topology starts no thread at all."""
     with monkeypatch.context() as patch:
-        patch.setattr(threading.Thread, "start", recording_start)
+        started = recording_thread_starts(patch)
         topology = scenario.Topology(scenario.load_builtin(name), seed=0)
     topology.close()
-    assert link.LinkEndpoint._read_loop in targets
-    assert set(targets) <= {link.LinkEndpoint._read_loop, link.LinkEndpoint._handle_message}
+    assert started == []
+
+
+def test_fault_free_run_starts_no_thread(monkeypatch):
+    with monkeypatch.context() as patch:
+        started = recording_thread_starts(patch)
+        report = scenario.run_scenario(scenario.load_builtin("xrp_eth_two_connectors"), seed=1)
+    assert report.ok(), report.checks
+    assert started == []
+
+
+@pytest.mark.parametrize("name", scenario.builtin_scenario_names())
+def test_closed_topology_is_freed_without_the_cycle_collector(name):
+    """Closing drops the handlers and accept callbacks that refer back from
+    the endpoints to their connectors, so reference counting alone frees a
+    closed topology."""
+    gc.collect()
+    gc.disable()
+    try:
+        topology = scenario.Topology(scenario.load_builtin(name), seed=0)
+        connectors = [weakref.ref(c) for c in topology.connectors.values()]
+        topology.close()
+        del topology
+        assert connectors and all(ref() is None for ref in connectors)
+    finally:
+        gc.enable()
 
 
 def test_load_builtin_unknown():
@@ -80,6 +112,20 @@ def test_clean_runs_are_deterministic():
     a = scenario.run_scenario(spec, seed=42)
     b = scenario.run_scenario(spec, seed=42)
     assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("name", scenario.builtin_scenario_names())
+def test_faulty_runs_are_deterministic(name):
+    """Memory links deliver on the sending thread, so a request waits out its
+    timeout only when its frame or answer was dropped, and never races one
+    that is late: the same spec, seed and faults give the same report."""
+    spec = scenario.load_builtin(name)
+    faults = {"drop_rate": 0.1, "duplicate_rate": 0.05}
+    a, b = (
+        scenario.run_scenario(spec, seed=3, faults=faults, timeouts=FAULT_TIMEOUTS).to_json()
+        for _ in range(2)
+    )
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_different_seeds_differ():
