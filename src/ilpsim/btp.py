@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .wire import (
+    BYTES,
     CodecError,
+    InvalidField,
     LengthMismatch,
     Truncated,
     encode_length,
-    encode_var_octets,
-    read_exact,
     read_var_octets,
 )
 
@@ -86,30 +86,46 @@ def read_count(buf: bytes, offset: int) -> tuple[int, int]:
 
 
 def encode_frame(f: BtpFrame) -> bytes:
-    body = _encode_count(len(f.entries))
+    parts = [_encode_count(len(f.entries))]
     for e in f.entries:
         name = e.name.encode("ascii")
-        body += encode_var_octets(name) + bytes([e.content_type]) + encode_var_octets(e.data)
-    return bytes([f.frame_type]) + f.request_id.to_bytes(4, "big") + encode_length(len(body)) + body
+        parts += (
+            encode_length(len(name)), name, BYTES[e.content_type], encode_length(len(e.data)),
+            e.data,
+        )
+    body = b"".join(parts)
+    return b"".join(
+        (BYTES[f.frame_type], f.request_id.to_bytes(4, "big"), encode_length(len(body)), body)
+    )
 
 
 def decode_frame(data: bytes) -> BtpFrame:
+    """Decode one BTP frame. Bad bytes raise only CodecError: an entry whose
+    name or content type is no valid value raises InvalidField."""
     if not data:
         raise Truncated("empty input")
     frame_type = data[0]
     if frame_type not in FRAME_TYPES:
         raise UnknownFrameType(f"unknown BTP frame type {frame_type}")
-    rid_b, off = read_exact(data, 1, 4, "request_id")
-    body, end = read_var_octets(data, off)
+    if len(data) < 5:
+        raise Truncated("truncated request_id")
+    body, end = read_var_octets(data, 5)
     if end != len(data):
         raise LengthMismatch(f"{len(data) - end} trailing bytes after frame")
     count, boff = read_count(body, 0)
     entries = []
-    for _ in range(count):
-        name_b, boff = read_var_octets(body, boff)  # single length byte, names < 128
-        ct_b, boff = read_exact(body, boff, 1, "content_type")
-        payload, boff = read_var_octets(body, boff)
-        entries.append(ProtocolEntry(name_b.decode("ascii"), ct_b[0], payload))
+    try:
+        for _ in range(count):
+            name_b, boff = read_var_octets(body, boff)
+            if boff >= len(body):
+                raise Truncated("truncated content_type")
+            payload, end = read_var_octets(body, boff + 1)
+            entries.append(ProtocolEntry(name_b.decode("ascii"), body[boff], payload))
+            boff = end
+    except CodecError:
+        raise
+    except ValueError as exc:  # non-ASCII name, name length or content type
+        raise InvalidField(str(exc)) from exc
     if boff != len(body):
         raise LengthMismatch("trailing bytes inside frame body")
-    return BtpFrame(frame_type, int.from_bytes(rid_b, "big"), tuple(entries))
+    return BtpFrame(frame_type, int.from_bytes(data[1:5], "big"), tuple(entries))

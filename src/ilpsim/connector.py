@@ -7,7 +7,6 @@ Middleware order on an incoming Prepare is fixed: expiry, maxPacketAmount
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import threading
 from dataclasses import dataclass
@@ -103,8 +102,8 @@ class Connector:
         self.clock = clock or SimClock()
         self.events = event_log
         self.name = name or str(own_address)
-        self.min_message_window = min_message_window
-        self.expiry_decrement = expiry_decrement
+        self.min_message_window = timedelta(seconds=min_message_window)
+        self.expiry_decrement = timedelta(seconds=expiry_decrement)
         self.forward_timeout = forward_timeout
         self.routes = RouteTable(own_address)
         self.accounts: dict[str, AccountConfig] = {}
@@ -249,13 +248,13 @@ class Connector:
         self, from_peer: ConnectorPeer, prepare: ilp.PreparePacket
     ) -> ilp.FulfillPacket | ilp.RejectPacket:
         account = from_peer.account
+        condition = prepare.condition.hex()
         self.events.emit(
             self.name, "prepare_in", peer=from_peer.peer_id, amount=prepare.amount,
-            condition=prepare.condition.hex(),
+            condition=condition,
         )
         # 1. expiry
-        window = timedelta(seconds=self.min_message_window)
-        if self.clock.now() + window >= prepare.expires_at:
+        if self.clock.now() + self.min_message_window >= prepare.expires_at:
             return self._reject(ilp.R00_TRANSFER_TIMED_OUT, "insufficient time before expiry")
         # 2. max packet amount
         if account.max_packet_amount is not None and prepare.amount > account.max_packet_amount:
@@ -284,14 +283,16 @@ class Connector:
         except rates.NoRate as exc:
             from_peer.balance.rollback_incoming(prepare.amount)
             return self._reject(ilp.F02_UNREACHABLE, str(exc))
-        out_prepare = dataclasses.replace(
-            prepare,
+        out_prepare = ilp.PreparePacket(
+            destination=prepare.destination,
             amount=out_amount,
-            expires_at=prepare.expires_at - timedelta(seconds=self.expiry_decrement),
+            condition=prepare.condition,
+            expires_at=prepare.expires_at - self.expiry_decrement,
+            data=prepare.data,
         )
         self.events.emit(
             self.name, "prepare_forwarded", peer=to_peer.peer_id, amount=out_amount,
-            condition=prepare.condition.hex(),
+            condition=condition,
         )
         response = peering.send_prepare(
             to_peer.endpoint, out_prepare, self.forward_timeout, self.address
@@ -301,18 +302,15 @@ class Connector:
             if not ilp.verify_fulfillment(response.fulfillment, prepare.condition):
                 from_peer.balance.rollback_incoming(prepare.amount)
                 self.events.emit(
-                    self.name, "fulfill_relayed", condition=prepare.condition.hex(),
-                    verified=False,
+                    self.name, "fulfill_relayed", condition=condition, verified=False
                 )
                 return self._reject(ilp.F05_WRONG_CONDITION, "fulfillment does not match condition")
             to_peer.record_fulfilled(out_amount, settle_timeout=self.forward_timeout)
-            self.events.emit(
-                self.name, "fulfill_relayed", condition=prepare.condition.hex(), verified=True,
-            )
+            self.events.emit(self.name, "fulfill_relayed", condition=condition, verified=True)
             return response
         from_peer.balance.rollback_incoming(prepare.amount)
         self.events.emit(
-            self.name, "reject_relayed", condition=prepare.condition.hex(), code=response.code,
+            self.name, "reject_relayed", condition=condition, code=response.code
         )
         return response
 

@@ -18,7 +18,9 @@ from datetime import datetime, timezone
 from typing import Union
 
 from .wire import (
+    BYTES,
     CodecError,
+    InvalidField,
     LengthMismatch,
     Truncated,
     encode_length,
@@ -36,8 +38,8 @@ MAX_DATA_LEN = 32767
 
 ADDRESS_SCHEMES = frozenset({"g", "private", "example", "peer", "self", "test", "local"})
 
-_SEGMENT_RE = re.compile(r"^[A-Za-z0-9_~-]+$")
-_ERROR_CODE_RE = re.compile(r"^[FTR][0-9][0-9]$")
+_ADDRESS_RE = re.compile(r"[A-Za-z0-9_~-]+(?:\.[A-Za-z0-9_~-]+)*")
+_ERROR_CODE_RE = re.compile(r"[FTR][0-9][0-9]")
 
 # Error codes used across the stack. Only F08 and T04 are externally fixed;
 # the rest follow the conventional class letters (F final, T temporary, R relative).
@@ -68,12 +70,12 @@ class IlpAddress:
     segments: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.segments:
-            raise MalformedAddress("address needs at least one segment")
-        for seg in self.segments:
-            if not _SEGMENT_RE.match(seg):
-                raise MalformedAddress(f"bad segment {seg!r}")
-        if len(str(self)) > MAX_ADDRESS_LEN:
+        text = ".".join(self.segments)
+        # There is at least one segment and each is valid exactly when the
+        # text matches and its only dots are the len - 1 separators.
+        if not _ADDRESS_RE.fullmatch(text) or text.count(".") != len(self.segments) - 1:
+            raise MalformedAddress(f"bad address segments {self.segments!r}")
+        if len(text) > MAX_ADDRESS_LEN:
             raise MalformedAddress("address exceeds 1023 bytes")
 
     @property
@@ -149,7 +151,7 @@ class RejectPacket:
     data: bytes = b""
 
     def __post_init__(self):
-        if not _ERROR_CODE_RE.match(self.code):
+        if not _ERROR_CODE_RE.fullmatch(self.code):
             raise ValueError(f"bad error code {self.code!r}")
         if len(self.data) > MAX_DATA_LEN:
             raise ValueError("data exceeds 32767 bytes")
@@ -160,50 +162,60 @@ IlpPacket = Union[PreparePacket, FulfillPacket, RejectPacket]
 
 def format_expiry(ts: datetime) -> str:
     """Render a timestamp as the 17-digit YYYYMMDDHHmmssfff wire form (UTC)."""
-    utc = ts.astimezone(timezone.utc)
-    millis = utc.microsecond // 1000
-    return utc.strftime("%Y%m%d%H%M%S") + f"{millis:03d}"
+    u = ts.astimezone(timezone.utc)
+    return "%04d%02d%02d%02d%02d%02d%03d" % (
+        u.year, u.month, u.day, u.hour, u.minute, u.second, u.microsecond // 1000
+    )
 
 
 def parse_expiry(digits: str) -> datetime:
-    if len(digits) != 17 or not digits.isdigit():
+    if len(digits) != 17 or not (digits.isascii() and digits.isdigit()):
         raise BadExpiryDigits(f"expiry must be 17 ASCII digits, got {digits!r}")
+    # fixed-width fields YYYY MM DD HH mm ss fff, read from the right
+    rest, millis = divmod(int(digits), 1000)
+    rest, second = divmod(rest, 100)
+    rest, minute = divmod(rest, 100)
+    rest, hour = divmod(rest, 100)
+    rest, day = divmod(rest, 100)
+    year, month = divmod(rest, 100)
     try:
-        base = datetime.strptime(digits[:14], "%Y%m%d%H%M%S")
-    except ValueError as exc:
+        return datetime(year, month, day, hour, minute, second, millis * 1000, timezone.utc)
+    except ValueError as exc:  # no such date or time
         raise BadExpiryDigits(str(exc)) from exc
-    return base.replace(microsecond=int(digits[14:]) * 1000, tzinfo=timezone.utc)
-
-
-def _encode_contents(p: IlpPacket) -> tuple[int, bytes]:
-    if isinstance(p, PreparePacket):
-        contents = (
-            p.amount.to_bytes(8, "big")
-            + format_expiry(p.expires_at).encode("ascii")
-            + p.condition
-            + encode_var_octets(str(p.destination).encode("ascii"))
-            + encode_var_octets(p.data)
-        )
-        return TYPE_PREPARE, contents
-    if isinstance(p, FulfillPacket):
-        return TYPE_FULFILL, p.fulfillment + encode_var_octets(p.data)
-    if isinstance(p, RejectPacket):
-        contents = (
-            p.code.encode("ascii")
-            + encode_var_octets(str(p.triggered_by).encode("ascii"))
-            + encode_var_octets(p.message.encode("utf-8"))
-            + encode_var_octets(p.data)
-        )
-        return TYPE_REJECT, contents
-    raise TypeError(f"not an ILP packet: {type(p).__name__}")
 
 
 def encode_packet(p: IlpPacket) -> bytes:
-    ptype, contents = _encode_contents(p)
-    return bytes([ptype]) + encode_length(len(contents)) + contents
+    if isinstance(p, PreparePacket):
+        destination = str(p.destination).encode("ascii")
+        ptype = TYPE_PREPARE
+        contents = b"".join((
+            p.amount.to_bytes(8, "big"),
+            format_expiry(p.expires_at).encode("ascii"),
+            p.condition,
+            encode_length(len(destination)),
+            destination,
+            encode_length(len(p.data)),
+            p.data,
+        ))
+    elif isinstance(p, FulfillPacket):
+        ptype = TYPE_FULFILL
+        contents = b"".join((p.fulfillment, encode_length(len(p.data)), p.data))
+    elif isinstance(p, RejectPacket):
+        ptype = TYPE_REJECT
+        contents = b"".join((
+            p.code.encode("ascii"),
+            encode_var_octets(str(p.triggered_by).encode("ascii")),
+            encode_var_octets(p.message.encode("utf-8")),
+            encode_var_octets(p.data),
+        ))
+    else:
+        raise TypeError(f"not an ILP packet: {type(p).__name__}")
+    return b"".join((BYTES[ptype], encode_length(len(contents)), contents))
 
 
 def decode_packet(data: bytes) -> IlpPacket:
+    """Decode one ILP packet. Bad bytes raise only CodecError: a field that is
+    complete but holds no valid value raises InvalidField."""
     if not data:
         raise Truncated("empty input")
     ptype = data[0]
@@ -214,36 +226,39 @@ def decode_packet(data: bytes) -> IlpPacket:
         raise LengthMismatch(f"{len(data) - end} trailing bytes after packet")
     try:
         return _decode_contents(ptype, contents)
-    except Truncated:
+    except CodecError:
         raise
-    except IndexError as exc:  # pragma: no cover - defensive
-        raise Truncated(str(exc)) from exc
+    except ValueError as exc:  # undecodable text, bad address, code or data size
+        raise InvalidField(str(exc)) from exc
+
+
+# amount(8) || expiry(17) || condition(32)
+_PREPARE_HEAD = 57
 
 
 def _decode_contents(ptype: int, contents: bytes) -> IlpPacket:
-    off = 0
     if ptype == TYPE_PREPARE:
-        amount_b, off = read_exact(contents, off, 8, "amount")
-        expiry_b, off = read_exact(contents, off, 17, "expiry")
-        condition, off = read_exact(contents, off, 32, "condition")
-        dest_b, off = read_var_octets(contents, off)
+        if len(contents) < _PREPARE_HEAD:
+            raise Truncated("truncated amount, expiry or condition")
+        dest_b, off = read_var_octets(contents, _PREPARE_HEAD)
         payload, off = read_var_octets(contents, off)
         if off != len(contents):
             raise LengthMismatch("trailing bytes inside prepare contents")
         return PreparePacket(
             destination=parse_address(dest_b.decode("ascii")),
-            amount=int.from_bytes(amount_b, "big"),
-            condition=condition,
-            expires_at=parse_expiry(expiry_b.decode("ascii")),
+            amount=int.from_bytes(contents[:8], "big"),
+            condition=contents[25:_PREPARE_HEAD],
+            # latin-1 maps every byte; parse_expiry refuses non-digits
+            expires_at=parse_expiry(contents[8:25].decode("latin-1")),
             data=payload,
         )
     if ptype == TYPE_FULFILL:
-        fulfillment, off = read_exact(contents, off, 32, "fulfillment")
+        fulfillment, off = read_exact(contents, 0, 32, "fulfillment")
         payload, off = read_var_octets(contents, off)
         if off != len(contents):
             raise LengthMismatch("trailing bytes inside fulfill contents")
         return FulfillPacket(fulfillment=fulfillment, data=payload)
-    code_b, off = read_exact(contents, off, 3, "error code")
+    code_b, off = read_exact(contents, 0, 3, "error code")
     trig_b, off = read_var_octets(contents, off)
     message_b, off = read_var_octets(contents, off)
     payload, off = read_var_octets(contents, off)

@@ -27,11 +27,14 @@ class RateBackend:
     ):
         if kind not in ("one-to-one", "static-table"):
             raise ValueError(f"unknown backend kind {kind!r}")
-        if spread < 0:
-            raise ValueError("spread must be >= 0")
+        if not 0 <= spread < 1:
+            raise ValueError(f"spread must be in [0, 1), got {spread}")
         self.kind = kind
         self.table = dict(table or {})
         self.spread = spread
+        # (src_code, src_scale, dst_code, dst_scale) -> factor as (numerator,
+        # denominator); table and spread never change after construction.
+        self._factors: dict[tuple[str, int, str, int], tuple[int, int]] = {}
 
     def rate(self, src_code: str, dst_code: str) -> Decimal:
         if self.kind == "one-to-one":
@@ -48,9 +51,19 @@ class RateBackend:
     ) -> int:
         """floor(amount * 10^-src_scale * rate * (1 - spread) * 10^dst_scale),
         computed exactly over rationals."""
-        rate = Fraction(self.rate(src_code, dst_code))
-        factor = rate * (1 - Fraction(self.spread)) * Fraction(10) ** (dst_scale - src_scale)
-        return int(Fraction(amount) * factor)  # int() truncates toward zero; amounts >= 0
+        key = (src_code, src_scale, dst_code, dst_scale)
+        factor = self._factors.get(key)
+        if factor is None:
+            exact = (
+                Fraction(self.rate(src_code, dst_code))
+                * (1 - Fraction(self.spread))
+                * Fraction(10) ** (dst_scale - src_scale)
+            )
+            factor = self._factors[key] = (exact.numerator, exact.denominator)
+        num, den = factor
+        if num == den:  # lowest terms: the factor is 1
+            return amount
+        return amount * num // den  # floor, as amount >= 0 and factor >= 0
 
 
 def backend_from_config(cfg: dict) -> RateBackend:

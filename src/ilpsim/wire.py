@@ -19,14 +19,21 @@ class LengthMismatch(CodecError):
     """Declared lengths disagree with the actual byte counts."""
 
 
+class InvalidField(CodecError):
+    """A complete field whose bytes hold no valid value (text, address, code)."""
+
+
 MAX_VAR_LEN = 0xFFFF
+
+# BYTES[n] == bytes([n]): the one-byte length prefixes and type bytes.
+BYTES = tuple(bytes((n,)) for n in range(256))
 
 
 def encode_length(n: int) -> bytes:
+    if 0 <= n < 128:
+        return BYTES[n]
     if n < 0:
         raise ValueError("negative length")
-    if n < 128:
-        return bytes([n])
     if n <= 0xFF:
         return bytes([0x81, n])
     if n <= MAX_VAR_LEN:
@@ -55,10 +62,15 @@ def encode_var_octets(data: bytes) -> bytes:
 
 
 def read_var_octets(buf: bytes, offset: int) -> tuple[bytes, int]:
-    length, offset = read_length(buf, offset)
-    if offset + length > len(buf):
+    if offset < len(buf) and buf[offset] < 128:
+        length = buf[offset]
+        offset += 1
+    else:
+        length, offset = read_length(buf, offset)
+    end = offset + length
+    if end > len(buf):
         raise Truncated(f"declared {length} bytes, only {len(buf) - offset} present")
-    return buf[offset : offset + length], offset + length
+    return buf[offset:end], end
 
 
 def read_exact(buf: bytes, offset: int, n: int, what: str) -> tuple[bytes, int]:

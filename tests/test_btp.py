@@ -3,10 +3,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilpsim import btp, ilp
-from ilpsim.wire import LengthMismatch, Truncated
+from ilpsim.wire import CodecError, InvalidField, LengthMismatch, Truncated
 
 import vectors
-from test_ilp import capture_prepare
+from test_ilp import capture_prepare, flip_byte
 
 
 def test_encode_message_golden_prefix():
@@ -89,3 +89,47 @@ frames = st.builds(
 @given(frames)
 def test_frame_round_trip(frame):
     assert btp.decode_frame(btp.encode_frame(frame)) == frame
+
+
+def raw_message(name: bytes, content_type: int = 0, data: bytes = b"") -> bytes:
+    body = b"\x01\x01" + bytes([len(name)]) + name + bytes([content_type, len(data)]) + data
+    return bytes([btp.TYPE_MESSAGE]) + (7).to_bytes(4, "big") + bytes([len(body)]) + body
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [raw_message(b"il\xff"), raw_message(b""), raw_message(b"ilp", content_type=3)],
+)
+def test_decode_bad_entry_raises_invalid_field(raw):
+    with pytest.raises(InvalidField):
+        btp.decode_frame(raw)
+
+
+def test_missing_content_type_truncated():
+    body = b"\x01\x01\x03ilp"
+    raw = bytes([btp.TYPE_MESSAGE]) + bytes(4) + bytes([len(body)]) + body
+    with pytest.raises(Truncated):
+        btp.decode_frame(raw)
+
+
+def test_long_entry_name_round_trips():
+    # names of 128-255 bytes take the extended length prefix
+    frame = btp.BtpFrame(btp.TYPE_MESSAGE, 1, (btp.ProtocolEntry("n" * 200, 1, b"x"),))
+    assert btp.decode_frame(btp.encode_frame(frame)) == frame
+
+
+garbled_frames = st.builds(
+    flip_byte,
+    frames.map(btp.encode_frame),
+    st.integers(min_value=0),
+    st.integers(min_value=0, max_value=255),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.binary(max_size=300), garbled_frames))
+def test_decode_raises_only_codec_error(raw):
+    try:
+        btp.decode_frame(raw)
+    except CodecError:
+        pass

@@ -196,6 +196,32 @@ def test_downstream_reject_relayed_and_rolled_back(clock):
     assert from_peer.balance.value == 0
 
 
+class RawReplyEndpoint(ScriptedEndpoint):
+    """Answers every ilp entry with the same raw bytes."""
+
+    def __init__(self, reply: bytes):
+        super().__init__(None)
+        self.reply = reply
+
+    def request(self, entries, timeout=5.0):
+        self.prepares.append(ilp.decode_packet(entries[0].data))
+        return (peering.ilp_entry(self.reply),)
+
+
+def test_malformed_downstream_reject_becomes_t00_and_rolls_back(clock):
+    # A Reject whose triggered_by is not ASCII: type 14, F02, var(address),
+    # empty message, empty data.
+    address = b"g.c\xffnn9"
+    contents = b"F02" + bytes([len(address)]) + address + b"\x00\x00"
+    conn, from_peer, to_peer = build(clock)
+    to_peer.endpoint = RawReplyEndpoint(bytes([ilp.TYPE_REJECT, len(contents)]) + contents)
+    response = conn.handle_prepare(from_peer, prepare_for(clock, 100))
+    assert isinstance(response, ilp.RejectPacket)
+    assert response.code == "T00"
+    assert str(response.triggered_by) == "g.conn1"
+    assert from_peer.balance.value == 0
+
+
 def test_downstream_timeout_becomes_r00(clock):
     conn, from_peer, _ = build(clock, responder=lambda p: link.Timeout("slow"))
     response = conn.handle_prepare(from_peer, prepare_for(clock, 100))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from datetime import datetime, timezone
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilpsim import ilp
-from ilpsim.wire import LengthMismatch, Truncated
+from ilpsim.wire import CodecError, InvalidField, LengthMismatch, Truncated
 
 import vectors
 
@@ -155,3 +156,98 @@ def test_codec_round_trip(packet):
 @given(timestamps)
 def test_expiry_millisecond_round_trip(ts):
     assert ilp.parse_expiry(ilp.format_expiry(ts)) == ts
+
+
+def test_parse_address_refuses_trailing_newline():
+    with pytest.raises(ilp.MalformedAddress):
+        ilp.parse_address("g.bob\n")
+
+
+def test_reject_code_refuses_trailing_newline():
+    with pytest.raises(ValueError):
+        ilp.RejectPacket("F00\n", ilp.parse_address("g.bob"))
+
+
+def raw_reject(triggered_by: bytes, code: bytes = b"F02", message: bytes = b"") -> bytes:
+    contents = code + bytes([len(triggered_by)]) + triggered_by + bytes([len(message)]) + message
+    contents += b"\x00"
+    return bytes([ilp.TYPE_REJECT, len(contents)]) + contents
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        raw_reject(b"g.c\xffnn9"),  # non-ASCII address
+        raw_reject(b"g..x"),  # empty segment
+        raw_reject(b"g.bob", code=b"X00"),  # bad error code
+        raw_reject(b"g.bob", code=b"F\xff0"),  # non-ASCII error code
+        raw_reject(b"g.bob", message=b"\xff"),  # message is not UTF-8
+    ],
+)
+def test_decode_bad_field_raises_invalid_field(raw):
+    with pytest.raises(InvalidField):
+        ilp.decode_packet(raw)
+
+
+def test_decode_oversized_data_raises_invalid_field():
+    data = bytes(ilp.MAX_DATA_LEN + 1)
+    contents = bytes(32) + bytes([0x82]) + len(data).to_bytes(2, "big") + data
+    raw = bytes([ilp.TYPE_FULFILL, 0x82]) + len(contents).to_bytes(2, "big") + contents
+    with pytest.raises(InvalidField):
+        ilp.decode_packet(raw)
+
+
+def flip_byte(encoded: bytes, index: int, value: int) -> bytes:
+    index %= len(encoded)
+    return encoded[:index] + bytes([value]) + encoded[index + 1 :]
+
+
+garbled_packets = st.builds(
+    flip_byte,
+    st.one_of(prepares, fulfills, rejects).map(ilp.encode_packet),
+    st.integers(min_value=0),
+    st.integers(min_value=0, max_value=255),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.binary(max_size=300), garbled_packets))
+def test_decode_raises_only_codec_error(raw):
+    try:
+        ilp.decode_packet(raw)
+    except CodecError:
+        pass
+
+
+def test_parse_expiry_refuses_non_ascii_digits():
+    with pytest.raises(ilp.BadExpiryDigits):
+        ilp.parse_expiry("2019061909430150３")  # fullwidth 3
+
+
+@pytest.mark.parametrize("digits", ["20191301000000000", "20190230000000000", "00000101000000000"])
+def test_parse_expiry_refuses_impossible_dates(digits):
+    with pytest.raises(ilp.BadExpiryDigits):
+        ilp.parse_expiry(digits)
+
+
+def test_prepare_before_year_1000_round_trips():
+    prepare = dataclasses.replace(
+        capture_prepare(), expires_at=datetime(999, 12, 31, 23, 59, 59, 999000, timezone.utc)
+    )
+    assert ilp.format_expiry(prepare.expires_at) == "09991231235959999"
+    assert ilp.decode_packet(ilp.encode_packet(prepare)) == prepare
+
+
+millisecond_timestamps = st.datetimes(
+    min_value=datetime(1, 1, 1),
+    max_value=datetime(9999, 12, 31, 23, 59, 59, 999000),
+    timezones=st.just(timezone.utc),
+).map(lambda ts: ts.replace(microsecond=ts.microsecond // 1000 * 1000))
+
+
+@settings(max_examples=500, deadline=None)
+@given(millisecond_timestamps)
+def test_expiry_is_17_ascii_digits_and_round_trips(ts):
+    digits = ilp.format_expiry(ts)
+    assert len(digits) == 17 and digits.isascii() and digits.isdigit()
+    assert ilp.parse_expiry(digits) == ts

@@ -1,4 +1,5 @@
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -148,3 +149,40 @@ def test_conversion_never_creates_value(amount, src_scale, dst_scale):
     out = backend.convert(amount, "X", src_scale, "Y", dst_scale)
     # floor of a product with spread <= exact product without spread
     assert out * 10**src_scale <= amount * 10**dst_scale
+
+
+@pytest.mark.parametrize("spread", [Decimal(1), Decimal(2), Decimal("-0.01")])
+def test_spread_outside_unit_interval_refused(spread):
+    with pytest.raises(ValueError):
+        rates.RateBackend("one-to-one", spread=spread)
+
+
+@pytest.mark.parametrize("spread", ["1", "2"])
+def test_backend_from_config_refuses_spread_of_one_or_more(spread):
+    with pytest.raises(ValueError):
+        rates.backend_from_config({"backend": "one-to-one", "spread": spread})
+
+
+def test_no_rate_is_not_cached():
+    backend = rates.RateBackend("static-table", {})
+    for _ in range(2):
+        with pytest.raises(rates.NoRate):
+            backend.convert(1, "XRP", 6, "BTC", 8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    amount=st.integers(min_value=0, max_value=2**64 - 1),
+    src_scale=st.integers(min_value=0, max_value=19),
+    dst_scale=st.integers(min_value=0, max_value=19),
+    rate=st.decimals(min_value=0, max_value=10**6, places=8),
+    spread=st.decimals(min_value=0, max_value=Decimal("0.99999999"), places=8),
+)
+def test_cached_conversion_equals_exact_formula(amount, src_scale, dst_scale, rate, spread):
+    backend = rates.RateBackend("static-table", {("X", "Y"): rate}, spread=spread)
+    shift = Fraction(10) ** (dst_scale - src_scale)
+    expected = int(Fraction(amount) * Fraction(rate) * (1 - Fraction(spread)) * shift)
+    for _ in range(2):  # the second call reads the cached factor
+        assert backend.convert(amount, "X", src_scale, "Y", dst_scale) == expected
+    same_asset = int(Fraction(amount) * (1 - Fraction(spread)) * shift)
+    assert backend.convert(amount, "X", src_scale, "X", dst_scale) == same_asset
