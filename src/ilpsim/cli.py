@@ -13,7 +13,6 @@ import sys
 import time
 
 import click
-import requests
 
 from . import (
     admin,
@@ -175,10 +174,8 @@ def node_start(config_path: str) -> None:
 
 def _admin_call(base_url: str, method: str, path: str) -> dict:
     try:
-        resp = requests.request(method, base_url.rstrip("/") + path, timeout=5)
-        resp.raise_for_status()
-        return resp.json()
-    except requests.RequestException as exc:
+        return admin.call_json(method, base_url.rstrip("/") + path)
+    except (admin.HttpError, ValueError) as exc:
         raise click.ClickException(f"admin API unreachable: {exc}")
 
 

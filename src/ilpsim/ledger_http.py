@@ -12,10 +12,8 @@ import logging
 from datetime import datetime
 from typing import Optional
 
-import requests
-
 from . import ledger as lg
-from .admin import AdminServer
+from .admin import AdminServer, call_json
 
 log = logging.getLogger(__name__)
 
@@ -138,7 +136,8 @@ class LedgerApiServer(AdminServer):
 
 
 class RemoteLedger:
-    """Client-side proxy with the same surface as Ledger."""
+    """Client-side proxy with the same surface as Ledger. A call that gets
+    no answer, or one other than 200, raises admin.HttpError."""
 
     def __init__(self, base_url: str, timeout: float = 5.0):
         self.base_url = base_url.rstrip("/")
@@ -147,13 +146,9 @@ class RemoteLedger:
         self.config = lg.LedgerConfig(**info)
 
     def _call(self, method: str, **kwargs):
-        resp = requests.post(
-            f"{self.base_url}/rpc",
-            json={"method": method, "kwargs": kwargs},
-            timeout=self.timeout,
+        body = call_json(
+            "POST", f"{self.base_url}/rpc", {"method": method, "kwargs": kwargs}, self.timeout
         )
-        resp.raise_for_status()
-        body = resp.json()
         if "error" in body:
             exc_type = getattr(lg, body["error"]["type"], lg.LedgerError)
             raise exc_type(body["error"]["message"])

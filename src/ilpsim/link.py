@@ -4,8 +4,10 @@ Transports preserve message boundaries and ordering. Two implementations:
 an in-process pair whose `send` calls the receiving endpoint directly, on
 the sender's thread, for simulation and tests; and 4-byte length-prefixed
 framing over TCP, read by one thread per endpoint, for multi-process runs.
-A fault-injecting wrapper can drop, delay or duplicate frames at this
-boundary.
+A TCP endpoint's reader only reads: it hands each inbound Message to a set
+of handler threads shared by the whole process, which start as needed and
+are reused. A fault-injecting wrapper can drop, delay or duplicate frames
+at this boundary.
 
 Every link opens with the BTP auth handshake (RFC 0023): the dialing side
 calls `LinkEndpoint.authenticate`; the accepting endpoint authenticates the
@@ -17,6 +19,7 @@ within AUTH_TIMEOUT.
 from __future__ import annotations
 
 import logging
+import queue
 import random
 import socket
 import struct
@@ -259,6 +262,47 @@ class FaultyTransport:
         self._inner.close()
 
 
+class _HandlerThreads:
+    """Daemon threads that run inbound TCP Messages' handlers, shared by
+    every endpoint in the process.
+
+    A Message goes to an idle thread; a new thread starts only when none is
+    idle, and threads never exit. Their number is not capped, so it grows to
+    the peak number of Messages handled at once: a forwarding handler waits
+    for an answer whose Message needs a thread of its own (in one process,
+    a connector's handler waits on the receiving node's), and with a cap
+    every thread could be waiting on Messages that none is free to run.
+    """
+
+    def __init__(self) -> None:
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._idle = 0  # threads free to take a job, less the jobs queued
+
+    def run(self, handle: Callable[[btp.BtpFrame], None], frame: btp.BtpFrame) -> None:
+        with self._lock:
+            start = self._idle == 0
+            if not start:
+                self._idle -= 1
+        self._jobs.put((handle, frame))
+        if start:
+            threading.Thread(target=self._work, name="btp-handler", daemon=True).start()
+
+    def _work(self) -> None:
+        while True:
+            handle, frame = self._jobs.get()
+            try:
+                handle(frame)
+            except Exception:
+                log.exception("message handling failed")
+            del handle, frame  # an idle thread keeps no endpoint alive
+            with self._lock:
+                self._idle += 1
+
+
+_handler_threads = _HandlerThreads()
+
+
 # --- BTP URIs ---------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -296,8 +340,9 @@ class LinkEndpoint:
     the sending thread and runs a Message's handler there too, so a handler
     that itself issues requests (a forwarding connector) gets its answers
     inside its own `send`. A TCP link calls it from the endpoint's one
-    reader thread, and runs each Message's handler on a thread of its own,
-    so that the reader can go on reading responses meanwhile.
+    reader thread, and runs each Message's handler on one of the process's
+    shared handler threads, so that the reader can go on reading responses
+    meanwhile.
 
     An endpoint built with `accept` is the accepting side of a link: it
     authenticates the first frame inline, through the same decode and
@@ -391,7 +436,7 @@ class LinkEndpoint:
     def _receive(self, data: bytes, threaded: bool = False) -> None:
         """Handle one inbound frame. An accepting endpoint's first frame must
         authenticate, or the link is closed. A Message's handler runs on a
-        new thread if `threaded`, else on the calling one."""
+        shared handler thread if `threaded`, else on the calling one."""
         try:
             frame = btp.decode_frame(data)
         except Exception:
@@ -409,7 +454,7 @@ class LinkEndpoint:
             self._dispatch_response(frame)
         elif self._first_delivery(frame.request_id):
             if threaded:
-                threading.Thread(target=self._handle_message, args=(frame,), daemon=True).start()
+                _handler_threads.run(self._handle_message, frame)
             else:
                 self._handle_message(frame)
 

@@ -31,6 +31,9 @@ class RateBackend:
             raise ValueError(f"spread must be in [0, 1), got {spread}")
         self.kind = kind
         self.table = dict(table or {})
+        for (src, dst), rate in self.table.items():
+            if not (rate.is_finite() and rate >= 0):
+                raise ValueError(f"rate {src}:{dst} must be finite and >= 0, got {rate}")
         self.spread = spread
         # (src_code, src_scale, dst_code, dst_scale) -> factor as (numerator,
         # denominator); table and spread never change after construction.

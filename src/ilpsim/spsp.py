@@ -7,10 +7,8 @@ import base64
 from dataclasses import dataclass
 from typing import Union
 
-import requests
-
 from . import ilp, stream
-from .admin import AdminServer
+from .admin import AdminServer, HttpError, call_json
 from .uplink import UplinkNode
 
 WELL_KNOWN_PATH = "/.well-known/pay"
@@ -57,15 +55,11 @@ class SpspResponse:
 
 def query(endpoint_url: str, timeout: float = 5.0) -> SpspResponse:
     try:
-        resp = requests.get(endpoint_url, timeout=timeout)
-    except requests.RequestException as exc:
-        raise Unreachable(str(exc)) from exc
-    if resp.status_code != 200:
-        raise Unreachable(f"endpoint answered {resp.status_code}")
-    try:
-        body = resp.json()
+        body = call_json("GET", endpoint_url, timeout=timeout)
         destination = body["destination_account"]
         secret = base64.b64decode(body["shared_secret"])
+    except HttpError as exc:
+        raise Unreachable(str(exc)) from exc
     except (ValueError, KeyError) as exc:
         raise BadResponse(f"malformed SPSP response: {exc}") from exc
     if len(secret) != 32:

@@ -2,10 +2,15 @@
 ledger RPC and the SPSP endpoint."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 import requests
+
+import ilpsim
 
 from ilpsim import admin, ledger as lg, stream
 from ilpsim.ilp import parse_address
@@ -101,3 +106,40 @@ def test_close_is_quick():
     started = time.monotonic()
     s.close()
     assert time.monotonic() - started < 0.25
+
+
+def test_call_json_round_trip(server):
+    assert admin.call_json("GET", server.url + "/info") == {"name": "node"}
+    assert admin.call_json("POST", server.url + "/echo", {"amount": 5}) == {"got": {"amount": 5}}
+
+
+@pytest.mark.parametrize(
+    "method,path,status",
+    [("GET", "/nope", 404), ("POST", "/info", 404), ("GET", "/fail", 500)],
+)
+def test_call_json_raises_on_status_other_than_200(server, method, path, status):
+    with pytest.raises(admin.HttpError, match=f"answered {status}$"):
+        admin.call_json(method, server.url + path)
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:1/", "ftp://127.0.0.1/", "http:///path"])
+def test_call_json_raises_when_nothing_answers(url):
+    with pytest.raises(admin.HttpError):
+        admin.call_json("GET", url, timeout=0.5)
+
+
+def test_no_module_imports_requests():
+    package = os.path.dirname(ilpsim.__file__)
+    modules = sorted(name[:-3] for name in os.listdir(package) if name.endswith(".py"))
+    code = (
+        "import importlib, sys\n"
+        f"for name in {modules!r}:\n"
+        "    importlib.import_module('ilpsim.' + name)\n"
+        "print('requests' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(package))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

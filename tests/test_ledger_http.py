@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from ilpsim import ledger as lg
+from ilpsim import admin, ledger as lg
 from ilpsim import settlement as stl
 from ilpsim.ledger_http import LedgerApiServer, RemoteLedger
 
@@ -152,3 +154,19 @@ def test_claim_over_http_forged_refused_valid_in_one_rpc(backend):
     assert counted.rpcs == ["redeem_claim"]
     assert balance.value == 0
     assert local.account_info("bob").balance == 120
+
+
+def test_server_error_raises():
+    def rpc(body):
+        if json.loads(body)["method"] == "describe":
+            return {"result": {"asset_code": "XRP", "asset_scale": 6,
+                               "genesis_balance": 1, "ledger_id": "xrp"}}
+        raise RuntimeError("ledger broke")
+
+    server = admin.AdminServer({("POST", "/rpc"): rpc})
+    try:
+        remote = RemoteLedger(server.url)
+        with pytest.raises(admin.HttpError, match="answered 500$"):
+            remote.total_value()
+    finally:
+        server.close()

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from ilpsim import btp, link
+from test_scenario import recording_thread_starts
 
 
 def entry(name, data=b"x"):
@@ -277,6 +278,101 @@ def test_tcp_transport_round_trip():
     assert out[0].data == b"hello"
     client.close()
     listener.close()
+
+
+def tcp_pair(server_handler, name="alice"):
+    """A client endpoint dialed to a TcpListener whose endpoints get
+    `server_handler`; returns the client and the listener."""
+    listener = link.TcpListener(0, accepting({name: "tok"}, server_handler))
+    client = link.LinkEndpoint(link.TcpTransport.connect("127.0.0.1", listener.port))
+    client.authenticate(name, "tok")
+    return client, listener
+
+
+def test_handler_may_request_back_over_the_same_tcp_link():
+    def client_handler(_ep, entries):
+        return [btp.ProtocolEntry("pong", 0, entries[0].data)]
+
+    def server_handler(endpoint, entries):
+        back = endpoint.request([entry("ping", entries[0].data)], timeout=1)
+        return [btp.ProtocolEntry("echo", 0, back[0].data)]
+
+    client, listener = tcp_pair(server_handler)
+    client.handler = client_handler
+    try:
+        started = time.monotonic()
+        out = client.request([entry("q", b"round")], timeout=1)
+        assert out[0].data == b"round"
+        assert time.monotonic() - started < 1.0
+    finally:
+        client.close()
+        listener.close()
+
+
+def test_tcp_forwarding_handlers_reuse_threads(monkeypatch):
+    """A -> B -> C over TCP in one process, B's handler forwarding each
+    Message to C and waiting for C's answer, as a connector does."""
+    monkeypatch.setattr(link, "_handler_threads", link._HandlerThreads())
+    concurrent = 16
+    meet = threading.Barrier(concurrent, timeout=5)
+
+    def c_handler(_ep, entries):
+        if entries[0].data.startswith(b"together"):
+            meet.wait()  # all 16 are in C's handlers at once
+        return [btp.ProtocolEntry("c", 0, entries[0].data)]
+
+    b_to_c, c_listener = tcp_pair(c_handler, "b")
+
+    def b_handler(_ep, entries):
+        return list(b_to_c.request(list(entries), timeout=5))
+
+    a, b_listener = tcp_pair(b_handler, "a")
+    try:
+        answers = {}
+
+        def call(i):
+            data = b"together %d" % i
+            answers[i] = a.request([entry("q", data)], timeout=5)[0].data
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(concurrent)]
+        with monkeypatch.context() as patch:
+            started = recording_thread_starts(patch)
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=10)
+        assert not any(t.is_alive() for t in callers)
+        assert answers == {i: b"together %d" % i for i in range(concurrent)}
+        # at most one handler thread per Message in flight: 16 on B and 16 on C
+        assert len([t for t in started if t not in callers]) <= 2 * concurrent
+
+        assert a.request([entry("q", b"warm-up")], timeout=5)[0].data == b"warm-up"
+        with monkeypatch.context() as patch:
+            started = recording_thread_starts(patch)
+            for i in range(200):
+                data = b"seq %d" % i
+                assert a.request([entry("q", data)], timeout=5)[0].data == data
+        assert started == []
+    finally:
+        for closeable in (a, b_to_c, b_listener, c_listener):
+            closeable.close()
+
+
+def test_tcp_handler_that_raises_is_answered_t00_and_next_message_served():
+    def handler(_ep, entries):
+        if entries[0].data == b"boom":
+            raise RuntimeError("handler bug")
+        return [btp.ProtocolEntry("echo", 0, entries[0].data)]
+
+    client, listener = tcp_pair(handler)
+    try:
+        with pytest.raises(link.PeerError) as err:
+            client.request([entry("q", b"boom")], timeout=2)
+        assert (err.value.code, err.value.message) == ("T00", "internal error")
+        assert client.request([entry("q", b"next")], timeout=2)[0].data == b"next"
+    finally:
+        client.close()
+        listener.close()
 
 
 def test_parse_btp_uri():

@@ -163,6 +163,19 @@ def test_backend_from_config_refuses_spread_of_one_or_more(spread):
         rates.backend_from_config({"backend": "one-to-one", "spread": spread})
 
 
+@pytest.mark.parametrize("rate", ["-0.5", "NaN", "Infinity"])
+def test_negative_or_non_finite_rate_refused(rate):
+    with pytest.raises(ValueError, match="XRP:ETH"):
+        rates.RateBackend("static-table", {("XRP", "ETH"): Decimal(rate)})
+    with pytest.raises(ValueError, match="XRP:ETH"):
+        rates.backend_from_config({"backend": "static-table", "rates": {"XRP:ETH": rate}})
+
+
+def test_zero_rate_allowed():
+    backend = rates.backend_from_config({"backend": "static-table", "rates": {"XRP:ETH": "0"}})
+    assert backend.convert(10, "XRP", 6, "ETH", 6) == 0
+
+
 def test_no_rate_is_not_cached():
     backend = rates.RateBackend("static-table", {})
     for _ in range(2):

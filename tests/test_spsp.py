@@ -61,6 +61,13 @@ def test_query_wrong_path_unreachable(server):
         spsp.query(base + "/nope")
 
 
+def test_query_https_of_plain_http_server_unreachable(server):
+    """The client speaks TLS to an https:// URL, so a plain-HTTP server
+    cannot answer it."""
+    with pytest.raises(spsp.Unreachable):
+        spsp.query(server.url.replace("http://", "https://", 1), timeout=2)
+
+
 def test_query_connection_refused_unreachable():
     with pytest.raises(spsp.Unreachable):
         spsp.query("http://127.0.0.1:1/", timeout=0.5)
