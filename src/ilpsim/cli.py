@@ -11,6 +11,7 @@ import json
 import logging
 import sys
 import time
+from pathlib import Path
 
 import click
 
@@ -264,7 +265,7 @@ def _report_json(report: inspector.InspectorReport) -> dict:
 @click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
 def inspect_cmd(hexfile: str, as_json: bool) -> None:
     """Decode a hex dump of a BTP frame or ILP packet (use '-' for stdin)."""
-    text = sys.stdin.read() if hexfile == "-" else open(hexfile).read()
+    text = sys.stdin.read() if hexfile == "-" else Path(hexfile).read_text()
     try:
         report = inspector.inspect_hex(text)
     except ValueError as exc:

@@ -1,6 +1,9 @@
 """The ILSP core: accepts child/peer/parent links, assigns child addresses,
 routes Prepares by longest prefix, converts amounts with a rate backend,
 enforces the middleware pipeline, and relays Fulfill/Reject backward.
+Prepares and Fulfills pass through as bytes: a Prepare is read once and
+forwarded with its amount and expiry rewritten in place, and a Fulfill is
+relayed as received once it matches the condition.
 
 Middleware order on an incoming Prepare is fixed: expiry, maxPacketAmount
 (F08), trust limit (T04), then route lookup (F02)."""
@@ -218,7 +221,8 @@ class Connector:
     def _serve(self, peer: ConnectorPeer, endpoint: link.LinkEndpoint) -> None:
         peer.attach(
             endpoint,
-            lambda prepare: self.handle_prepare(peer, prepare),
+            lambda data: self.handle_prepare(peer, data),
+            raw=True,
             ildcp=lambda _data: self._ildcp_response(peer),
             channel=lambda data: self._accept_channel(peer, data),
         )
@@ -244,75 +248,73 @@ class Connector:
 
     # -- packet pipeline
 
-    def handle_prepare(
-        self, from_peer: ConnectorPeer, prepare: ilp.PreparePacket
-    ) -> ilp.FulfillPacket | ilp.RejectPacket:
+    def handle_prepare(self, from_peer: ConnectorPeer, data: bytes) -> bytes | ilp.RejectPacket:
+        """Run the pipeline on an encoded Prepare. It is forwarded as bytes,
+        with only its amount and expiry rewritten, and the next hop's Fulfill
+        is relayed as the bytes received once its fulfillment matches the
+        condition; a Reject is returned decoded. Bytes that are no Prepare
+        raise CodecError."""
+        amount, expires_at, condition_b, destination, _payload, head = ilp.read_prepare(data)
         account = from_peer.account
-        condition = prepare.condition.hex()
+        condition = condition_b.hex()
         self.events.emit(
-            self.name, "prepare_in", peer=from_peer.peer_id, amount=prepare.amount,
-            condition=condition,
+            self.name, "prepare_in", peer=from_peer.peer_id, amount=amount, condition=condition,
         )
         # 1. expiry
-        if self.clock.now() + self.min_message_window >= prepare.expires_at:
+        if self.clock.now() + self.min_message_window >= expires_at:
             return self._reject(ilp.R00_TRANSFER_TIMED_OUT, "insufficient time before expiry")
         # 2. max packet amount
-        if account.max_packet_amount is not None and prepare.amount > account.max_packet_amount:
+        if account.max_packet_amount is not None and amount > account.max_packet_amount:
             return self._reject(
                 ilp.F08_AMOUNT_TOO_LARGE,
-                f"amount {prepare.amount} exceeds maximum of {account.max_packet_amount}",
+                f"amount {amount} exceeds maximum of {account.max_packet_amount}",
             )
         # 3. trust limit
-        if not from_peer.balance.on_incoming_prepare(prepare.amount):
+        if not from_peer.balance.on_incoming_prepare(amount):
             return self._reject(ilp.T04_INSUFFICIENT_LIQUIDITY, "exceeds balance maximum")
         # 4. route
-        next_hop = self.routes.lookup(prepare.destination)
+        next_hop = self.routes.lookup(destination)
         if next_hop is None or next_hop == from_peer.peer_id:
-            from_peer.balance.rollback_incoming(prepare.amount)
-            return self._reject(ilp.F02_UNREACHABLE, f"no route to {prepare.destination}")
+            from_peer.balance.rollback_incoming(amount)
+            return self._reject(ilp.F02_UNREACHABLE, f"no route to {destination}")
         to_peer = self.peers[next_hop]
         # 5. convert and forward
         try:
             out_amount = self.backend.convert(
-                prepare.amount,
+                amount,
                 account.asset_code,
                 account.asset_scale,
                 to_peer.account.asset_code,
                 to_peer.account.asset_scale,
             )
         except rates.NoRate as exc:
-            from_peer.balance.rollback_incoming(prepare.amount)
+            from_peer.balance.rollback_incoming(amount)
             return self._reject(ilp.F02_UNREACHABLE, str(exc))
-        out_prepare = ilp.PreparePacket(
-            destination=prepare.destination,
-            amount=out_amount,
-            condition=prepare.condition,
-            expires_at=prepare.expires_at - self.expiry_decrement,
-            data=prepare.data,
+        forwarded = ilp.rewrite_prepare(
+            data, head, out_amount, expires_at - self.expiry_decrement
         )
         self.events.emit(
             self.name, "prepare_forwarded", peer=to_peer.peer_id, amount=out_amount,
             condition=condition,
         )
         response = peering.send_prepare(
-            to_peer.endpoint, out_prepare, self.forward_timeout, self.address
+            to_peer.endpoint, forwarded, self.forward_timeout, self.address
         )
         # 6/7. relay
-        if isinstance(response, ilp.FulfillPacket):
-            if not ilp.verify_fulfillment(response.fulfillment, prepare.condition):
-                from_peer.balance.rollback_incoming(prepare.amount)
-                self.events.emit(
-                    self.name, "fulfill_relayed", condition=condition, verified=False
-                )
-                return self._reject(ilp.F05_WRONG_CONDITION, "fulfillment does not match condition")
-            to_peer.record_fulfilled(out_amount, settle_timeout=self.forward_timeout)
-            self.events.emit(self.name, "fulfill_relayed", condition=condition, verified=True)
+        if isinstance(response, ilp.RejectPacket):
+            from_peer.balance.rollback_incoming(amount)
+            self.events.emit(
+                self.name, "reject_relayed", condition=condition, code=response.code
+            )
             return response
-        from_peer.balance.rollback_incoming(prepare.amount)
-        self.events.emit(
-            self.name, "reject_relayed", condition=condition, code=response.code
-        )
-        return response
+        fulfill, fulfillment = response
+        if not ilp.verify_fulfillment(fulfillment, condition_b):
+            from_peer.balance.rollback_incoming(amount)
+            self.events.emit(self.name, "fulfill_relayed", condition=condition, verified=False)
+            return self._reject(ilp.F05_WRONG_CONDITION, "fulfillment does not match condition")
+        to_peer.record_fulfilled(out_amount, settle_timeout=self.forward_timeout)
+        self.events.emit(self.name, "fulfill_relayed", condition=condition, verified=True)
+        return fulfill
 
     def _reject(self, code: str, message: str) -> ilp.RejectPacket:
         return ilp.RejectPacket(code=code, triggered_by=self.address, message=message)

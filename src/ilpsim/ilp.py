@@ -7,10 +7,16 @@ Wire layout (big-endian throughout):
               || var(destination) || var(data)
     fulfill = fulfillment(32) || var(data)
     reject  = code(3 ASCII) || var(triggered_by) || var(message) || var(data)
+
+A hop that only relays packets works on the bytes: `read_prepare` and
+`read_fulfill` check a packet as `decode_packet` does (which is built on
+them) and return its fields, and `rewrite_prepare` writes a new amount and
+expiry over a Prepare's fixed-width head.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -26,6 +32,7 @@ from .wire import (
     encode_length,
     encode_var_octets,
     read_exact,
+    read_length,
     read_var_octets,
 )
 
@@ -96,6 +103,17 @@ def parse_address(text: str) -> IlpAddress:
     if not text:
         raise MalformedAddress("empty address")
     return IlpAddress(tuple(text.split(".")))
+
+
+@functools.lru_cache(maxsize=1024)
+def _read_address(raw: bytes) -> IlpAddress:
+    """An address field of a packet, decoded and parsed. The packets of a
+    path carry the same few addresses again and again, so each distinct
+    field is checked once and kept in a bounded memo, which is safe since
+    IlpAddress is frozen; a malformed one raises on every read. Addresses
+    parsed once (config, routes) do not pass through the memo, whose misses
+    cost more than a plain parse."""
+    return parse_address(raw.decode("ascii"))
 
 
 def condition_from_fulfillment(fulfillment: bytes) -> bytes:
@@ -219,54 +237,106 @@ def decode_packet(data: bytes) -> IlpPacket:
     if not data:
         raise Truncated("empty input")
     ptype = data[0]
-    if ptype not in (TYPE_PREPARE, TYPE_FULFILL, TYPE_REJECT):
+    if ptype == TYPE_PREPARE:
+        amount, expires_at, condition, destination, payload, _head = read_prepare(data)
+        return PreparePacket(destination, amount, condition, expires_at, payload)
+    if ptype == TYPE_FULFILL:
+        return FulfillPacket(*read_fulfill(data))
+    if ptype != TYPE_REJECT:
         raise UnknownType(f"unknown ILP packet type {ptype}")
-    contents, end = read_var_octets(data, 1)
-    if end != len(data):
-        raise LengthMismatch(f"{len(data) - end} trailing bytes after packet")
+    off = _open(data, TYPE_REJECT)
+    code_b, off = read_exact(data, off, 3, "error code")
+    trig_b, off = read_var_octets(data, off)
+    message_b, off = read_var_octets(data, off)
+    payload, off = read_var_octets(data, off)
+    if off != len(data):
+        raise LengthMismatch("trailing bytes inside reject contents")
     try:
-        return _decode_contents(ptype, contents)
-    except CodecError:
-        raise
+        return RejectPacket(
+            code=code_b.decode("ascii"),
+            triggered_by=_read_address(trig_b),
+            message=message_b.decode("utf-8"),
+            data=payload,
+        )
     except ValueError as exc:  # undecodable text, bad address, code or data size
         raise InvalidField(str(exc)) from exc
+
+
+def _open(data: bytes, ptype: int) -> int:
+    """Check that `data` is one packet of type `ptype` whose length prefix
+    spans exactly the rest of it; return the offset of its contents. Since
+    the contents end where `data` ends, fields are read from `data` itself."""
+    if not data:
+        raise Truncated("empty input")
+    if data[0] != ptype:
+        raise UnknownType(f"expected ILP packet type {ptype}, got {data[0]}")
+    length, off = read_length(data, 1)
+    end = off + length
+    if end > len(data):
+        raise Truncated(f"declared {length} bytes, only {len(data) - off} present")
+    if end != len(data):
+        raise LengthMismatch(f"{len(data) - end} trailing bytes after packet")
+    return off
 
 
 # amount(8) || expiry(17) || condition(32)
 _PREPARE_HEAD = 57
 
 
-def _decode_contents(ptype: int, contents: bytes) -> IlpPacket:
-    if ptype == TYPE_PREPARE:
-        if len(contents) < _PREPARE_HEAD:
-            raise Truncated("truncated amount, expiry or condition")
-        dest_b, off = read_var_octets(contents, _PREPARE_HEAD)
-        payload, off = read_var_octets(contents, off)
-        if off != len(contents):
-            raise LengthMismatch("trailing bytes inside prepare contents")
-        return PreparePacket(
-            destination=parse_address(dest_b.decode("ascii")),
-            amount=int.from_bytes(contents[:8], "big"),
-            condition=contents[25:_PREPARE_HEAD],
-            # latin-1 maps every byte; parse_expiry refuses non-digits
-            expires_at=parse_expiry(contents[8:25].decode("latin-1")),
-            data=payload,
-        )
-    if ptype == TYPE_FULFILL:
-        fulfillment, off = read_exact(contents, 0, 32, "fulfillment")
-        payload, off = read_var_octets(contents, off)
-        if off != len(contents):
-            raise LengthMismatch("trailing bytes inside fulfill contents")
-        return FulfillPacket(fulfillment=fulfillment, data=payload)
-    code_b, off = read_exact(contents, 0, 3, "error code")
-    trig_b, off = read_var_octets(contents, off)
-    message_b, off = read_var_octets(contents, off)
-    payload, off = read_var_octets(contents, off)
-    if off != len(contents):
-        raise LengthMismatch("trailing bytes inside reject contents")
-    return RejectPacket(
-        code=code_b.decode("ascii"),
-        triggered_by=parse_address(trig_b.decode("ascii")),
-        message=message_b.decode("utf-8"),
-        data=payload,
+def read_prepare(data: bytes) -> tuple[int, datetime, bytes, IlpAddress, bytes, int]:
+    """Read an encoded Prepare with every check decode_packet makes, without
+    building a packet. Returns (amount, expires_at, condition, destination,
+    data, head): `head` is the offset in `data` of the fixed-width amount(8)
+    and expiry(17) that rewrite_prepare replaces. Bad bytes raise only
+    CodecError."""
+    head = _open(data, TYPE_PREPARE)
+    if len(data) < head + _PREPARE_HEAD:
+        raise Truncated("truncated amount, expiry or condition")
+    dest_b, off = read_var_octets(data, head + _PREPARE_HEAD)
+    payload, off = read_var_octets(data, off)
+    if off != len(data):
+        raise LengthMismatch("trailing bytes inside prepare contents")
+    try:
+        destination = _read_address(dest_b)
+    except ValueError as exc:
+        raise InvalidField(str(exc)) from exc
+    # latin-1 maps every byte; parse_expiry refuses non-digits
+    expires_at = parse_expiry(data[head + 8 : head + 25].decode("latin-1"))
+    if len(payload) > MAX_DATA_LEN:
+        raise InvalidField("data exceeds 32767 bytes")
+    return (
+        int.from_bytes(data[head : head + 8], "big"),
+        expires_at,
+        data[head + 25 : head + _PREPARE_HEAD],
+        destination,
+        payload,
+        head,
     )
+
+
+def rewrite_prepare(data: bytes, head: int, amount: int, expires_at: datetime) -> bytes:
+    """A copy of the encoded Prepare `data` with a new amount and expiry
+    written over its head (found by read_prepare); every other byte is kept.
+    Both fields have a fixed width, so no length changes, as in the
+    `Prepare::set_amount` and `set_expires_at` setters of interledger-rs."""
+    if not 0 <= amount < 2**64:
+        raise ValueError("amount must fit in an unsigned 64-bit integer")
+    return b"".join((
+        data[:head],
+        amount.to_bytes(8, "big"),
+        format_expiry(expires_at).encode("ascii"),
+        data[head + 25 :],
+    ))
+
+
+def read_fulfill(data: bytes) -> tuple[bytes, bytes]:
+    """Read an encoded Fulfill with every check decode_packet makes; returns
+    (fulfillment, data). Bad bytes raise only CodecError."""
+    off = _open(data, TYPE_FULFILL)
+    fulfillment, off = read_exact(data, off, 32, "fulfillment")
+    payload, off = read_var_octets(data, off)
+    if off != len(data):
+        raise LengthMismatch("trailing bytes inside fulfill contents")
+    if len(payload) > MAX_DATA_LEN:
+        raise InvalidField("data exceeds 32767 bytes")
+    return fulfillment, payload

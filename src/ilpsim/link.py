@@ -6,8 +6,13 @@ the sender's thread, for simulation and tests; and 4-byte length-prefixed
 framing over TCP, read by one thread per endpoint, for multi-process runs.
 A TCP endpoint's reader only reads: it hands each inbound Message to a set
 of handler threads shared by the whole process, which start as needed and
-are reused. A fault-injecting wrapper can drop, delay or duplicate frames
-at this boundary.
+are reused. A fault-injecting wrapper can drop or duplicate frames at this
+boundary.
+
+A memory request's answer arrives inside `send`, or never: `send` reports
+that the frame was settled inline, and the request reads its answer at
+once, with no Event and no wait. A TCP request, or a memory frame held for
+a half with no endpoint yet, waits on an Event for its answer.
 
 Every link opens with the BTP auth handshake (RFC 0023): the dialing side
 calls `LinkEndpoint.authenticate`; the accepting endpoint authenticates the
@@ -78,6 +83,9 @@ class BtpErrorResponse(Exception):
 #
 # A transport carries whole frames in order and delivers them to the
 # LinkEndpoint attached to it: `attach(endpoint)`, `send(data)`, `close()`.
+# `send` returns whether it settled the frame inline: handled it on the
+# calling thread, so that any answer has come back before `send` returns.
+# `inline` tells whether a frame sent now would be.
 
 
 class MemoryTransport:
@@ -98,6 +106,10 @@ class MemoryTransport:
         self._held: list[bytes] = []
         self._closed = False
 
+    @property
+    def inline(self) -> bool:
+        return self.peer._endpoint is not None
+
     def attach(self, endpoint: "LinkEndpoint") -> None:
         while True:
             with self._state:
@@ -111,7 +123,10 @@ class MemoryTransport:
                 endpoint._receive(data)
         endpoint._shut(LinkClosed("link closed"))
 
-    def send(self, data: bytes) -> None:
+    def send(self, data: bytes) -> bool:
+        """Hand the frame to the other half's endpoint and return True once
+        it is handled, or hold it for an endpoint yet to attach and return
+        False."""
         peer = self.peer
         with self._state:
             if self._closed:
@@ -120,8 +135,9 @@ class MemoryTransport:
             if endpoint is None:
                 peer._held.append(data)
                 self._state.notify_all()
-                return
+                return False
         endpoint._receive(data)
+        return True
 
     def recv(self, deadline: Optional[float] = None) -> Optional[bytes]:
         """The next frame held for this half, waiting for one until
@@ -158,7 +174,10 @@ def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
 
 
 class TcpTransport:
-    """Length-prefixed message framing over a TCP socket."""
+    """Length-prefixed message framing over a TCP socket. Answers come on
+    the endpoint's reader thread, so no frame is settled inline."""
+
+    inline = False
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
@@ -175,12 +194,13 @@ class TcpTransport:
         """Start the endpoint's reader thread on this socket."""
         threading.Thread(target=endpoint._read_loop, daemon=True).start()
 
-    def send(self, data: bytes) -> None:
+    def send(self, data: bytes) -> bool:
         with self._send_lock:
             try:
                 self._sock.sendall(struct.pack(">I", len(data)) + data)
             except OSError as exc:
                 raise LinkClosed(str(exc)) from exc
+        return False
 
     def _recv_exact(self, n: int, deadline: Optional[float]) -> Optional[bytes]:
         buf = b""
@@ -223,7 +243,6 @@ class FaultPlan:
 
     drop_rate: float = 0.0
     duplicate_rate: float = 0.0
-    delay_seconds: float = 0.0
     seed: int = 0
 
 
@@ -238,19 +257,19 @@ class FaultyTransport:
         self.dropped = 0
         self.duplicated = 0
 
-    def send(self, data: bytes) -> None:
+    def send(self, data: bytes) -> bool:
+        """Send as the plan says. A frame dropped on a link that settles
+        frames inline counts as settled: no answer to it can come."""
         if not self.armed:
-            self._inner.send(data)
-            return
-        if self._plan.delay_seconds:
-            time.sleep(self._plan.delay_seconds)
+            return self._inner.send(data)
         if self._rng.random() < self._plan.drop_rate:
             self.dropped += 1
-            return
-        self._inner.send(data)
+            return self._inner.inline
+        settled = self._inner.send(data)
         if self._rng.random() < self._plan.duplicate_rate:
             self.duplicated += 1
             self._inner.send(data)
+        return settled
 
     def attach(self, endpoint: "LinkEndpoint") -> None:
         self._inner.attach(endpoint)
@@ -391,20 +410,27 @@ class LinkEndpoint:
     def request(
         self, entries: list[btp.ProtocolEntry], timeout: float = 5.0
     ) -> tuple[btp.ProtocolEntry, ...]:
-        """Send a Message and wait up to `timeout` for its answer. Over a
-        memory link the answer usually arrives while `send` runs, and the
-        timeout bounds the wait after it."""
+        """Send a Message and return its answer's entries. If the transport
+        settled the frame inline (a memory link whose other half has an
+        endpoint), the answer is in by the time `send` returns, or none will
+        come and the request times out at once. Otherwise (TCP, or a memory
+        frame held for an endpoint yet to attach) it waits up to `timeout`
+        on an Event."""
         if self._closed.is_set():
             raise LinkClosed("endpoint closed")
         rid = self._allocate_id()
-        event = threading.Event()
-        slot = {"event": event, "result": None, "error": None}
+        slot = {"answered": False, "result": None, "error": None, "event": None}
         with self._pending_lock:
             self._pending[rid] = slot
         try:
             frame = btp.BtpFrame(btp.TYPE_MESSAGE, rid, tuple(entries))
-            self.transport.send(btp.encode_frame(frame))
-            if not event.wait(timeout):
+            if not self.transport.send(btp.encode_frame(frame)):
+                with self._pending_lock:  # the answer may already be in
+                    event = None if slot["answered"] else threading.Event()
+                    slot["event"] = event
+                if event is not None:
+                    event.wait(timeout)
+            if not slot["answered"]:
                 raise Timeout(f"no response to request {rid} within {timeout}s")
             if slot["error"] is not None:
                 raise slot["error"]
@@ -470,10 +496,6 @@ class LinkEndpoint:
             return True
 
     def _dispatch_response(self, frame: btp.BtpFrame) -> None:
-        with self._pending_lock:
-            slot = self._pending.get(frame.request_id)
-        if slot is None:
-            return  # late or duplicate response
         if frame.frame_type == btp.TYPE_ERROR:
             code, message = "T00", ""
             for e in frame.entries:
@@ -481,22 +503,31 @@ class LinkEndpoint:
                     code = e.data.decode("utf-8", "replace")
                 elif e.name == "message":
                     message = e.data.decode("utf-8", "replace")
-            slot["error"] = PeerError(code, message)
+            field, value = "error", PeerError(code, message)
         else:
-            slot["result"] = frame.entries
-        slot["event"].set()
+            field, value = "result", frame.entries
+        with self._pending_lock:
+            slot = self._pending.get(frame.request_id)
+            if slot is None or slot["answered"]:
+                return  # late or duplicate response
+            slot[field] = value
+            slot["answered"] = True
+            event = slot["event"]
+        if event is not None:
+            event.set()
 
     def _handle_message(self, frame: btp.BtpFrame) -> None:
+        rid = frame.request_id
         try:
             entries = self._process_message(frame)
-            reply = btp.BtpFrame(btp.TYPE_RESPONSE, frame.request_id, tuple(entries))
+            reply = btp.encode_frame(btp.BtpFrame(btp.TYPE_RESPONSE, rid, tuple(entries)))
         except BtpErrorResponse as exc:
-            reply = _error_frame(frame.request_id, exc.code, exc.message)
-        except Exception:
+            reply = btp.encode_frame(_error_frame(rid, exc.code, exc.message))
+        except Exception:  # a failed handler, or a reply that cannot be encoded
             log.exception("message handler failed")
-            reply = _error_frame(frame.request_id, "T00", "internal error")
+            reply = btp.encode_frame(_error_frame(rid, "T00", "internal error"))
         try:
-            self.transport.send(btp.encode_frame(reply))
+            self.transport.send(reply)
         except LinkClosed:
             pass
 
@@ -529,12 +560,16 @@ class LinkEndpoint:
         return []
 
     def _fail_all(self, error: Exception) -> None:
+        events = []
         with self._pending_lock:
-            slots = list(self._pending.values())
-        for slot in slots:
-            if not slot["event"].is_set():  # keep an answer already delivered
-                slot["error"] = error
-                slot["event"].set()
+            for slot in self._pending.values():
+                if not slot["answered"]:  # keep an answer already delivered
+                    slot["error"] = error
+                    slot["answered"] = True
+                    if slot["event"] is not None:
+                        events.append(slot["event"])
+        for event in events:
+            event.set()
 
     def _shut(self, error: Exception) -> None:
         """Mark the endpoint closed, fail its pending requests with `error`

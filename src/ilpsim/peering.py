@@ -10,11 +10,13 @@ Entries, and who answers them:
 
     "ilp"             octets  an ILP Prepare; answered with its Fulfill or
                               Reject by every Peer (connector: the packet
-                              pipeline; uplink: delivery to the local app or
-                              stream server), by the uplink's local-app port
-                              (sends it on to the parent) and by a LocalApp
-                              registered as sink (its stream server). A
-                              Fulfill or Reject is refused with F00.
+                              pipeline, which relays the Prepare and its
+                              Fulfill as bytes; uplink: delivery to the local
+                              app or stream server), by the uplink's
+                              local-app port (sends it on to the parent) and
+                              by a LocalApp registered as sink (its stream
+                              server). A Fulfill or Reject is refused with
+                              F00.
     "ildcp"           JSON    address and asset query; the connector for a
                               child, the local-app port for a local app
     "channel"         JSON    payer announces a freshly opened outgoing
@@ -65,7 +67,13 @@ def ildcp_entry(address: ilp.IlpAddress, asset_code: str, asset_scale: int) -> b
 
 # Takes an entry's data; returns the reply entry, or None for no reply.
 EntryHandler = Callable[[bytes], Optional[btp.ProtocolEntry]]
-PrepareHandler = Callable[[ilp.PreparePacket], ilp.IlpPacket]
+# Takes a Prepare, decoded or as bytes (see ilp_handler); returns the reply
+# packet, encoded or not.
+PrepareHandler = Callable[[ilp.PreparePacket | bytes], ilp.IlpPacket | bytes]
+
+# The type bytes of an encoded Prepare and Fulfill.
+_PREPARE = wire.BYTES[ilp.TYPE_PREPARE]
+_FULFILL = wire.BYTES[ilp.TYPE_FULFILL]
 
 
 def dispatch(table: dict[str, EntryHandler], entries) -> list[btp.ProtocolEntry]:
@@ -94,15 +102,24 @@ def request_entry(endpoint: link.LinkEndpoint, entry: btp.ProtocolEntry, timeout
 
 def send_prepare(
     endpoint: link.LinkEndpoint,
-    prepare: ilp.PreparePacket,
+    prepare: ilp.PreparePacket | bytes,
     timeout: float,
     triggered_by: ilp.IlpAddress,
-) -> ilp.FulfillPacket | ilp.RejectPacket:
+) -> ilp.FulfillPacket | ilp.RejectPacket | tuple[bytes, bytes]:
     """Send a Prepare and return its Fulfill or Reject. A timeout becomes an
     R00 Reject; any other link failure, or an answer that is a Prepare or no
-    ILP packet at all, a T00 Reject triggered by `triggered_by`."""
+    ILP packet at all, a T00 Reject triggered by `triggered_by`.
+
+    A Prepare given as bytes (a hop relaying one) is sent as it is, and its
+    Fulfill is not decoded: it comes back as the pair (bytes as received,
+    fulfillment), checked by ilp.read_fulfill."""
+    raw = isinstance(prepare, bytes)
     try:
-        data = request_entry(endpoint, ilp_entry(ilp.encode_packet(prepare)), timeout)
+        data = request_entry(
+            endpoint, ilp_entry(prepare if raw else ilp.encode_packet(prepare)), timeout
+        )
+        if raw and data[:1] == _FULFILL:
+            return data, ilp.read_fulfill(data)[0]
         packet = ilp.decode_packet(data)
     except link.Timeout as exc:
         code, message = ilp.R00_TRANSFER_TIMED_OUT, f"timed out: {exc}"
@@ -121,15 +138,19 @@ def message_handler(table: dict[str, EntryHandler]) -> link.MessageHandler:
     return lambda _endpoint, entries: dispatch(table, entries)
 
 
-def ilp_handler(handle_prepare: PrepareHandler) -> EntryHandler:
-    """The "ilp" entry: decode, refuse anything but a Prepare, encode the
-    reply. handle_prepare should look its method up at call time."""
+def ilp_handler(handle_prepare: PrepareHandler, raw: bool = False) -> EntryHandler:
+    """The "ilp" entry: refuse anything but a Prepare, and answer a Prepare
+    with handle_prepare's reply. handle_prepare gets the Prepare decoded or,
+    if `raw`, as the bytes received; a reply that is bytes already is passed
+    on as it is, any other is encoded. handle_prepare should look its method
+    up at call time."""
 
     def handle(data: bytes) -> btp.ProtocolEntry:
-        packet = ilp.decode_packet(data)
-        if not isinstance(packet, ilp.PreparePacket):
+        if data[:1] != _PREPARE:
+            ilp.decode_packet(data)  # bad bytes raise CodecError
             raise link.BtpErrorResponse("F00", "only Prepare may initiate an exchange")
-        return ilp_entry(ilp.encode_packet(handle_prepare(packet)))
+        reply = handle_prepare(data if raw else ilp.decode_packet(data))
+        return ilp_entry(reply if isinstance(reply, bytes) else ilp.encode_packet(reply))
 
     return handle
 
@@ -160,14 +181,19 @@ class Peer:
         self._settle_lock = threading.Lock()
 
     def attach(
-        self, endpoint: link.LinkEndpoint, handle_prepare: PrepareHandler, **entries: EntryHandler
+        self,
+        endpoint: link.LinkEndpoint,
+        handle_prepare: PrepareHandler,
+        raw: bool = False,
+        **entries: EntryHandler,
     ) -> None:
         """Make endpoint the link to this peer and answer its entries: "ilp"
-        through handle_prepare, plus "channel", "claim" and "ledger_identity";
+        through handle_prepare (given the Prepare as bytes if `raw`, see
+        ilp_handler), plus "channel", "claim" and "ledger_identity";
         `entries` adds or replaces handlers by name.
         Handlers look methods up per call, so patched methods take effect."""
         table: dict[str, EntryHandler] = {
-            "ilp": ilp_handler(handle_prepare),
+            "ilp": ilp_handler(handle_prepare, raw),
             "channel": lambda data: self.handle_channel_entry(data),
             "claim": lambda data: self.handle_claim_entry(data),
             "ledger_identity": lambda _data: json_entry(

@@ -3,12 +3,13 @@ and atomicity checks, and machine-readable reports.
 
 A scenario spec (JSON) declares ledgers, connectors, uplink nodes, optional
 inter-connector peerings and static routes, and an ordered action list.
-Fault-free runs are deterministic for a fixed (spec, seed): every random
-source (stream tokens/secrets) derives from the seed and all actions are
-sequential. Fault runs draw their drop/duplicate pattern deterministically
-from the seed too, but retries race real timeouts, so event interleaving in
-faulty reports may vary; the checks (conservation, atomicity, locality) hold
-regardless."""
+Runs are deterministic for a fixed (spec, seed, faults): every random
+source (stream tokens/secrets, each link's drop/duplicate pattern) derives
+from the seed and all actions are sequential. Every link is an in-process
+memory link, where a request's answer arrives inside `send` or never, so a
+dropped frame fails its request at once: faulty runs wait out no timeout
+and race nothing. A spec's `faults` may set only `drop_rate` and
+`duplicate_rate`."""
 
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .clock import SimClock
 from .events import EventLog
 
 DEFAULT_TIMEOUTS = {"forward_timeout": 5.0, "packet_timeout": 5.0, "retry_budget": 10}
+FAULT_KEYS = frozenset({"drop_rate", "duplicate_rate"})
 
 
 class SetupFailed(Exception):
@@ -99,6 +101,9 @@ class Topology:
     # -- construction
 
     def _build(self) -> None:
+        unknown = sorted(set(self.faults) - FAULT_KEYS)
+        if unknown:
+            raise ValueError(f"unknown faults keys {unknown}")
         for led_cfg in self.spec.get("ledgers", []):
             ledger = lg.load_ledger(led_cfg, clock=self.clock)
             self.ledgers[ledger.config.ledger_id] = ledger
@@ -129,7 +134,6 @@ class Topology:
             plan = link.FaultPlan(
                 drop_rate=float(self.faults.get("drop_rate", 0.0)),
                 duplicate_rate=float(self.faults.get("duplicate_rate", 0.0)),
-                delay_seconds=float(self.faults.get("delay_seconds", 0.0)),
                 seed=_derive_seed(self.seed, name, side),
             )
             faulty = link.FaultyTransport(transport, plan, armed=False)

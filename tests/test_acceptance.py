@@ -258,6 +258,13 @@ def test_atomicity_over_200_fault_injected_payments(fault_sweep):
 # --- 8. middleware order -----------------------------------------------------
 
 
+def relay(conn, from_peer, prepare):
+    """Run the connector's pipeline on the encoded Prepare, as its link does,
+    and decode the reply as the previous hop would."""
+    reply = conn.handle_prepare(from_peer, ilp.encode_packet(prepare))
+    return ilp.decode_packet(reply if isinstance(reply, bytes) else ilp.encode_packet(reply))
+
+
 def test_f08_wins_over_t04():
     from datetime import timedelta
 
@@ -290,7 +297,7 @@ def test_f08_wins_over_t04():
         condition=bytes(32),
         expires_at=clock.now() + timedelta(seconds=30),
     )
-    response = conn.handle_prepare(peer, prepare)
+    response = relay(conn, peer, prepare)
     assert response.code == "F08"
     assert response.code != "T04"
 

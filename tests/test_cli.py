@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -66,6 +70,25 @@ def test_inspect_capture_file(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert "requestId: 530421608" in result.output
     assert "amount: 2500000000" in result.output
+
+
+def test_inspect_closes_its_file(tmp_path):
+    hex_text = (resources.files("ilpsim") / "captures" / "btp_prepare.hex").read_text()
+    path = tmp_path / "frame.hex"
+    path.write_text(hex_text)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+         "import sys; from ilpsim.cli import main; main(sys.argv[1:])", "inspect", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "requestId: 530421608" in result.stdout
+    assert "ResourceWarning" not in result.stderr, result.stderr
 
 
 def test_inspect_json_mode_and_stdin(runner):

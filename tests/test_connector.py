@@ -34,8 +34,10 @@ class ScriptedEndpoint:
     def __init__(self, responder):
         self.responder = responder
         self.prepares = []
+        self.sent = []  # the encoded Prepares, as received
 
     def request(self, entries, timeout=5.0):
+        self.sent.append(entries[0].data)
         packet = ilp.decode_packet(entries[0].data)
         self.prepares.append(packet)
         response = self.responder(packet)
@@ -85,6 +87,13 @@ def prepare_for(clock, amount, dest="g.conn1.bob.bob.x", lifetime=30, data=b""):
     )
 
 
+def relay(conn, from_peer, prepare):
+    """Run the connector's pipeline on the encoded Prepare, as its link does,
+    and decode the reply as the previous hop would."""
+    reply = conn.handle_prepare(from_peer, ilp.encode_packet(prepare))
+    return ilp.decode_packet(reply if isinstance(reply, bytes) else ilp.encode_packet(reply))
+
+
 def fulfill_for(prepare):
     fulfillment, _ = stream.packet_condition(SECRET, prepare.data)
     return ilp.FulfillPacket(fulfillment=fulfillment)
@@ -93,14 +102,14 @@ def fulfill_for(prepare):
 def test_two_hop_fulfill_hashes_to_original_condition(clock):
     conn, from_peer, _ = build(clock)
     prepare = prepare_for(clock, 100)
-    response = conn.handle_prepare(from_peer, prepare)
+    response = relay(conn, from_peer, prepare)
     assert isinstance(response, ilp.FulfillPacket)
     assert ilp.verify_fulfillment(response.fulfillment, prepare.condition)
 
 
 def test_expired_packet_rejected_r00(clock):
     conn, from_peer, to_peer = build(clock)
-    response = conn.handle_prepare(from_peer, prepare_for(clock, 100, lifetime=0.5))
+    response = relay(conn, from_peer, prepare_for(clock, 100, lifetime=0.5))
     assert isinstance(response, ilp.RejectPacket)
     assert response.code == "R00"
     assert to_peer.endpoint.prepares == []
@@ -108,7 +117,7 @@ def test_expired_packet_rejected_r00(clock):
 
 def test_f08_amount_too_large(clock):
     conn, from_peer, _ = build(clock, max_packet_amount=50)
-    response = conn.handle_prepare(from_peer, prepare_for(clock, 51))
+    response = relay(conn, from_peer, prepare_for(clock, 51))
     assert response.code == "F08"
 
 
@@ -120,20 +129,20 @@ def test_f08_checked_before_t04(clock):
         max_packet_amount=50,
         policy=conn_mod.BalancePolicy(maximum=10, settle_threshold=-5, settle_to=0),
     )
-    response = conn.handle_prepare(from_peer, prepare_for(clock, 5000))
+    response = relay(conn, from_peer, prepare_for(clock, 5000))
     assert response.code == "F08"
 
 
 def test_t04_over_trust_limit(clock):
     conn, from_peer, _ = build(clock)
-    response = conn.handle_prepare(from_peer, prepare_for(clock, 1001))
+    response = relay(conn, from_peer, prepare_for(clock, 1001))
     assert response.code == "T04"
     assert from_peer.balance.value == 0  # nothing accrued
 
 
 def test_route_miss_f02_rolls_back(clock):
     conn, from_peer, _ = build(clock)
-    response = conn.handle_prepare(from_peer, prepare_for(clock, 100, dest="g.nowhere.x"))
+    response = relay(conn, from_peer, prepare_for(clock, 100, dest="g.nowhere.x"))
     assert response.code == "F02"
     assert from_peer.balance.value == 0
 
@@ -141,7 +150,7 @@ def test_route_miss_f02_rolls_back(clock):
 def test_forward_decrements_expiry_by_one_second(clock):
     conn, from_peer, to_peer = build(clock)
     prepare = prepare_for(clock, 100)
-    conn.handle_prepare(from_peer, prepare)
+    relay(conn, from_peer, prepare)
     (forwarded,) = to_peer.endpoint.prepares
     assert prepare.expires_at - forwarded.expires_at == timedelta(seconds=1)
 
@@ -157,7 +166,7 @@ def test_conversion_applied_on_forward(clock):
     conn.register_child(src)
     conn.register_child(dst)
     dst.endpoint = ScriptedEndpoint(fulfill_for)
-    conn.handle_prepare(src, prepare_for(clock, 10_000_000, dest="g.conn1.esther.esther.x"))
+    relay(conn, src, prepare_for(clock, 10_000_000, dest="g.conn1.esther.esther.x"))
     (forwarded,) = dst.endpoint.prepares
     assert forwarded.amount == 62_000_000
 
@@ -171,7 +180,7 @@ def test_missing_rate_f02(clock):
     dst = conn._new_peer(conn.accounts["esther"], "esther")
     conn.register_child(src)
     conn.register_child(dst)
-    response = conn.handle_prepare(src, prepare_for(clock, 10, dest="g.conn1.esther.esther.x"))
+    response = relay(conn, src, prepare_for(clock, 10, dest="g.conn1.esther.esther.x"))
     assert response.code == "F02"
     assert src.balance.value == 0
 
@@ -179,7 +188,7 @@ def test_missing_rate_f02(clock):
 def test_bad_downstream_fulfillment_becomes_f05(clock):
     bogus = ilp.FulfillPacket(fulfillment=bytes(32))
     conn, from_peer, _ = build(clock, responder=lambda p: bogus)
-    response = conn.handle_prepare(from_peer, prepare_for(clock, 100))
+    response = relay(conn, from_peer, prepare_for(clock, 100))
     assert response.code == "F05"
     assert from_peer.balance.value == 0
     events = [e for e in conn.events.events("fulfill_relayed")]
@@ -191,7 +200,7 @@ def test_downstream_reject_relayed_and_rolled_back(clock):
         code="T04", triggered_by=ilp.parse_address("g.conn1"), message="no"
     )
     conn, from_peer, _ = build(clock, responder=lambda p: reject)
-    response = conn.handle_prepare(from_peer, prepare_for(clock, 100))
+    response = relay(conn, from_peer, prepare_for(clock, 100))
     assert response.code == "T04"
     assert from_peer.balance.value == 0
 
@@ -215,23 +224,79 @@ def test_malformed_downstream_reject_becomes_t00_and_rolls_back(clock):
     contents = b"F02" + bytes([len(address)]) + address + b"\x00\x00"
     conn, from_peer, to_peer = build(clock)
     to_peer.endpoint = RawReplyEndpoint(bytes([ilp.TYPE_REJECT, len(contents)]) + contents)
-    response = conn.handle_prepare(from_peer, prepare_for(clock, 100))
+    response = relay(conn, from_peer, prepare_for(clock, 100))
     assert isinstance(response, ilp.RejectPacket)
     assert response.code == "T00"
     assert str(response.triggered_by) == "g.conn1"
     assert from_peer.balance.value == 0
 
 
+def contents_offset(encoded: bytes) -> int:
+    """Where a packet's contents start: after its type byte and length prefix."""
+    return 2 if encoded[1] < 128 else 2 + (encoded[1] & 0x7F)
+
+
+@pytest.mark.parametrize("data_len", [0, 300], ids=["short", "long_length_prefix"])
+def test_forwarded_bytes_differ_only_in_amount_and_expiry(clock, data_len):
+    backend = rates.RateBackend("static-table", {("XRP", "ETH"): Decimal("0.0062")})
+    conn = conn_mod.Connector("g.conn1", backend, {"xrp": make_ledger()}, clock=clock)
+    big = conn_mod.BalancePolicy(maximum=10**9, settle_threshold=-(10**8), settle_to=0)
+    conn.add_account(account("alice", policy=big))
+    conn.add_account(account("esther", asset_code="ETH", asset_scale=9, policy=big))
+    src = conn._new_peer(conn.accounts["alice"], "alice")
+    dst = conn._new_peer(conn.accounts["esther"], "esther")
+    conn.register_child(src)
+    conn.register_child(dst)
+    dst.endpoint = ScriptedEndpoint(fulfill_for)
+    prepare = prepare_for(
+        clock, 10_000_000, dest="g.conn1.esther.esther.x", data=bytes(range(256))[:data_len]
+    )
+    incoming = ilp.encode_packet(prepare)
+    relay(conn, src, prepare)
+    (outgoing,) = dst.endpoint.sent
+    head = contents_offset(incoming)
+    assert len(outgoing) == len(incoming)
+    assert {i for i, (a, b) in enumerate(zip(incoming, outgoing)) if a != b} <= set(
+        range(head, head + 25)
+    )
+    assert outgoing[head : head + 8] == (62_000_000).to_bytes(8, "big")
+    assert ilp.decode_packet(outgoing) == ilp.PreparePacket(
+        destination=prepare.destination,
+        amount=62_000_000,
+        condition=prepare.condition,
+        expires_at=prepare.expires_at - timedelta(seconds=1),
+        data=prepare.data,
+    )
+
+
+def test_relayed_fulfill_reaches_the_sender_as_the_receiver_encoded_it(clock):
+    conn, from_peer, to_peer = build(clock)
+    prepare = prepare_for(clock, 100)
+    fulfillment = fulfill_for(prepare).fulfillment
+    # A valid Fulfill with a long-form length prefix, which re-encoding would
+    # shorten: contents of 32 + 1 + 3 bytes behind 0x81 0x24.
+    contents = fulfillment + b"\x03abc"
+    encoded = bytes([ilp.TYPE_FULFILL, 0x81, len(contents)]) + contents
+    assert ilp.encode_packet(ilp.decode_packet(encoded)) != encoded
+    to_peer.endpoint = RawReplyEndpoint(encoded)
+    sender_side, connector_side = link.memory_pair()
+    conn._serve(from_peer, link.LinkEndpoint(connector_side, authenticated=True))
+    sender = link.LinkEndpoint(sender_side, authenticated=True)
+    (reply,) = sender.request([peering.ilp_entry(ilp.encode_packet(prepare))], timeout=5)
+    assert reply.data == encoded
+    assert from_peer.balance.value == 100
+
+
 def test_downstream_timeout_becomes_r00(clock):
     conn, from_peer, _ = build(clock, responder=lambda p: link.Timeout("slow"))
-    response = conn.handle_prepare(from_peer, prepare_for(clock, 100))
+    response = relay(conn, from_peer, prepare_for(clock, 100))
     assert response.code == "R00"
     assert from_peer.balance.value == 0
 
 
 def test_successful_relay_accrues_balances(clock):
     conn, from_peer, to_peer = build(clock)
-    conn.handle_prepare(from_peer, prepare_for(clock, 100))
+    relay(conn, from_peer, prepare_for(clock, 100))
     assert from_peer.balance.value == 100  # alice owes us
     assert to_peer.balance.value == -100  # we owe bob
 

@@ -219,6 +219,81 @@ def test_decode_raises_only_codec_error(raw):
         pass
 
 
+garbled_prepares = st.builds(
+    flip_byte, prepares.map(ilp.encode_packet), st.integers(min_value=0),
+    st.integers(min_value=0, max_value=255),
+)
+garbled_fulfills = st.builds(
+    flip_byte, fulfills.map(ilp.encode_packet), st.integers(min_value=0),
+    st.integers(min_value=0, max_value=255),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.binary(max_size=300), garbled_packets, garbled_prepares))
+def test_read_prepare_raises_only_codec_error(raw):
+    try:
+        ilp.read_prepare(raw)
+    except CodecError:
+        pass
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.binary(max_size=300), garbled_packets, garbled_fulfills))
+def test_read_fulfill_raises_only_codec_error(raw):
+    try:
+        ilp.read_fulfill(raw)
+    except CodecError:
+        pass
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(max_size=300), garbled_packets, garbled_prepares, garbled_fulfills))
+def test_readers_accept_exactly_what_decode_accepts(raw):
+    """The readers and decode_packet make the same checks: a Prepare or
+    Fulfill reads if and only if it decodes, to the same fields."""
+    try:
+        packet = ilp.decode_packet(raw)
+    except CodecError:
+        packet = None
+    for read, kind in ((ilp.read_prepare, ilp.PreparePacket), (ilp.read_fulfill, ilp.FulfillPacket)):
+        try:
+            fields = read(raw)
+        except CodecError:
+            assert not isinstance(packet, kind)
+            continue
+        assert isinstance(packet, kind)
+        if kind is ilp.FulfillPacket:
+            assert fields == (packet.fulfillment, packet.data)
+        else:
+            amount, expires_at, condition, destination, data, _head = fields
+            assert packet == ilp.PreparePacket(destination, amount, condition, expires_at, data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prepares, st.integers(min_value=0, max_value=2**64 - 1), timestamps)
+def test_rewrite_prepare_replaces_only_amount_and_expiry(prepare, amount, expires_at):
+    encoded = ilp.encode_packet(prepare)
+    head = ilp.read_prepare(encoded)[5]
+    rewritten = ilp.rewrite_prepare(encoded, head, amount, expires_at)
+    assert len(rewritten) == len(encoded)
+    assert all(
+        a == b for i, (a, b) in enumerate(zip(encoded, rewritten)) if not head <= i < head + 25
+    )
+    assert ilp.decode_packet(rewritten) == dataclasses.replace(
+        prepare, amount=amount, expires_at=expires_at
+    )
+
+
+def test_decoded_addresses_are_memoized_and_malformed_ones_refused_every_time():
+    encoded = ilp.encode_packet(capture_prepare())
+    assert ilp.decode_packet(encoded).destination is ilp.decode_packet(encoded).destination
+    bad = raw_reject(b"g..memo")
+    for _ in range(2):
+        with pytest.raises(InvalidField):
+            ilp.decode_packet(bad)
+
+
 def test_parse_expiry_refuses_non_ascii_digits():
     with pytest.raises(ilp.BadExpiryDigits):
         ilp.parse_expiry("2019061909430150３")  # fullwidth 3

@@ -244,6 +244,30 @@ def test_close_fails_an_outstanding_request_at_once():
     assert len(errors) == 1 and isinstance(errors[0], link.LinkClosed)
 
 
+@pytest.mark.parametrize("lossy_side", ["request", "reply"])
+def test_dropped_memory_frame_times_out_at_once(lossy_side):
+    ct, st = link.memory_pair()
+    drop_all = link.FaultPlan(drop_rate=1.0)
+    if lossy_side == "reply":
+        st = link.FaultyTransport(st, drop_all)
+    else:
+        ct = link.FaultyTransport(ct, drop_all)
+    link.LinkEndpoint(st, handler=lambda _ep, entries: [entry("ok")], authenticated=True)
+    client = link.LinkEndpoint(ct, authenticated=True)
+    started = time.monotonic()
+    with pytest.raises(link.Timeout, match=r"^no response to request 1 within 5s$"):
+        client.request([entry("q")], timeout=5)
+    assert time.monotonic() - started < 0.05
+
+
+def test_memory_request_builds_no_event(monkeypatch):
+    client, _server = make_pair(server_handler=lambda _ep, entries: [entry("ok")])
+    built = []
+    monkeypatch.setattr(threading, "Event", lambda: built.append(1))
+    assert client.request([entry("q")], timeout=5)[0].name == "ok"
+    assert built == []
+
+
 def test_closing_one_half_closes_both_endpoints():
     client, server = make_pair()
     client.close()
@@ -370,6 +394,32 @@ def test_tcp_handler_that_raises_is_answered_t00_and_next_message_served():
             client.request([entry("q", b"boom")], timeout=2)
         assert (err.value.code, err.value.message) == ("T00", "internal error")
         assert client.request([entry("q", b"next")], timeout=2)[0].data == b"next"
+    finally:
+        client.close()
+        listener.close()
+
+
+def unencodable_reply(_ep, entries):
+    return [btp.ProtocolEntry("\u00e9", 0, b"")]  # BTP names are ASCII
+
+
+def test_unencodable_reply_answered_t00_over_memory():
+    client, _server = make_pair(server_handler=unencodable_reply)
+    started = time.monotonic()
+    with pytest.raises(link.PeerError) as err:
+        client.request([entry("q")], timeout=5)
+    assert (err.value.code, err.value.message) == ("T00", "internal error")
+    assert time.monotonic() - started < 1.0
+
+
+def test_unencodable_reply_answered_t00_over_tcp():
+    client, listener = tcp_pair(unencodable_reply)
+    try:
+        started = time.monotonic()
+        with pytest.raises(link.PeerError) as err:
+            client.request([entry("q")], timeout=5)
+        assert (err.value.code, err.value.message) == ("T00", "internal error")
+        assert time.monotonic() - started < 1.0
     finally:
         client.close()
         listener.close()

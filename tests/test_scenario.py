@@ -2,6 +2,7 @@ import copy
 import gc
 import json
 import threading
+import time
 import weakref
 
 import pytest
@@ -50,6 +51,59 @@ def test_fault_free_run_starts_no_thread(monkeypatch):
         report = scenario.run_scenario(scenario.load_builtin("xrp_eth_two_connectors"), seed=1)
     assert report.ok(), report.checks
     assert started == []
+
+
+def recording_events(patch) -> list:
+    """Patch threading.Event to record every Event built."""
+    built = []
+    event = threading.Event
+
+    def recording_event():
+        built.append(event())
+        return built[-1]
+
+    patch.setattr(threading, "Event", recording_event)
+    return built
+
+
+@pytest.mark.parametrize("name", scenario.builtin_scenario_names())
+def test_fault_free_run_builds_no_event_after_setup(monkeypatch, name):
+    """A memory request reads its answer when `send` returns: only setup
+    builds Events (one per endpoint)."""
+    spec = scenario.load_builtin(name)
+    with monkeypatch.context() as patch:
+        at_setup = recording_events(patch)
+        scenario.Topology(spec, seed=0).close()
+    with monkeypatch.context() as patch:
+        in_run = recording_events(patch)
+        report = scenario.run_scenario(spec, seed=0)
+    assert report.ok(), report.checks
+    assert len(in_run) == len(at_setup)
+
+
+@pytest.mark.parametrize(
+    "where", ["argument", "spec"], ids=["faults_argument", "spec_faults"]
+)
+def test_unknown_fault_key_refused_at_setup(where):
+    spec = scenario.load_builtin("xrp_single_connector")
+    faults = {"drop_rate": 0.1, "delay_seconds": 0.01}
+    with pytest.raises(scenario.SetupFailed, match="delay_seconds"):
+        if where == "spec":
+            scenario.run_scenario({**spec, "faults": faults}, seed=0)
+        else:
+            scenario.run_scenario(spec, seed=0, faults=faults)
+
+
+def test_faulty_sweep_waits_for_nothing():
+    """Every dropped frame fails its request when `send` returns, so even
+    default 5 s timeouts cost no wall time."""
+    started = time.monotonic()
+    for name in scenario.builtin_scenario_names():
+        report = scenario.run_scenario(
+            scenario.load_builtin(name), seed=3, faults={"drop_rate": 0.5}
+        )
+        assert report.checks["atomicity"] is True
+    assert time.monotonic() - started < 5.0
 
 
 @pytest.mark.parametrize("name", scenario.builtin_scenario_names())
@@ -116,9 +170,9 @@ def test_clean_runs_are_deterministic():
 
 @pytest.mark.parametrize("name", scenario.builtin_scenario_names())
 def test_faulty_runs_are_deterministic(name):
-    """Memory links deliver on the sending thread, so a request waits out its
-    timeout only when its frame or answer was dropped, and never races one
-    that is late: the same spec, seed and faults give the same report."""
+    """Memory links deliver on the sending thread, so a request whose frame
+    or answer was dropped fails at once, and never races one that is late:
+    the same spec, seed and faults give the same report."""
     spec = scenario.load_builtin(name)
     faults = {"drop_rate": 0.1, "duplicate_rate": 0.05}
     a, b = (
