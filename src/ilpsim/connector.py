@@ -221,11 +221,15 @@ class Connector:
     def _serve(self, peer: ConnectorPeer, endpoint: link.LinkEndpoint) -> None:
         peer.attach(
             endpoint,
-            lambda data: self.handle_prepare(peer, data),
-            raw=True,
+            ilp=lambda data: self._answer_prepare(peer, data),
             ildcp=lambda _data: self._ildcp_response(peer),
             channel=lambda data: self._accept_channel(peer, data),
         )
+
+    def _answer_prepare(self, peer: ConnectorPeer, data: bytes) -> btp.ProtocolEntry:
+        peering.check_prepare(data)
+        reply = self.handle_prepare(peer, data)
+        return peering.ilp_entry(reply if isinstance(reply, bytes) else ilp.encode_packet(reply))
 
     def _ildcp_response(self, peer: ConnectorPeer) -> btp.ProtocolEntry:
         if peer.child_address is None:
@@ -252,8 +256,8 @@ class Connector:
         """Run the pipeline on an encoded Prepare. It is forwarded as bytes,
         with only its amount and expiry rewritten, and the next hop's Fulfill
         is relayed as the bytes received once its fulfillment matches the
-        condition; a Reject is returned decoded. Bytes that are no Prepare
-        raise CodecError."""
+        condition; a Reject is returned decoded, so its code can be read.
+        Bytes that are no Prepare raise CodecError."""
         amount, expires_at, condition_b, destination, _payload, head = ilp.read_prepare(data)
         account = from_peer.account
         condition = condition_b.hex()
@@ -297,7 +301,7 @@ class Connector:
             self.name, "prepare_forwarded", peer=to_peer.peer_id, amount=out_amount,
             condition=condition,
         )
-        response = peering.send_prepare(
+        response = peering.relay_prepare(
             to_peer.endpoint, forwarded, self.forward_timeout, self.address
         )
         # 6/7. relay

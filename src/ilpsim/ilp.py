@@ -16,7 +16,6 @@ expiry over a Prepare's fixed-width head.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import re
 from dataclasses import dataclass
@@ -103,17 +102,6 @@ def parse_address(text: str) -> IlpAddress:
     if not text:
         raise MalformedAddress("empty address")
     return IlpAddress(tuple(text.split(".")))
-
-
-@functools.lru_cache(maxsize=1024)
-def _read_address(raw: bytes) -> IlpAddress:
-    """An address field of a packet, decoded and parsed. The packets of a
-    path carry the same few addresses again and again, so each distinct
-    field is checked once and kept in a bounded memo, which is safe since
-    IlpAddress is frozen; a malformed one raises on every read. Addresses
-    parsed once (config, routes) do not pass through the memo, whose misses
-    cost more than a plain parse."""
-    return parse_address(raw.decode("ascii"))
 
 
 def condition_from_fulfillment(fulfillment: bytes) -> bytes:
@@ -254,7 +242,7 @@ def decode_packet(data: bytes) -> IlpPacket:
     try:
         return RejectPacket(
             code=code_b.decode("ascii"),
-            triggered_by=_read_address(trig_b),
+            triggered_by=parse_address(trig_b.decode("ascii")),
             message=message_b.decode("utf-8"),
             data=payload,
         )
@@ -297,7 +285,7 @@ def read_prepare(data: bytes) -> tuple[int, datetime, bytes, IlpAddress, bytes, 
     if off != len(data):
         raise LengthMismatch("trailing bytes inside prepare contents")
     try:
-        destination = _read_address(dest_b)
+        destination = parse_address(dest_b.decode("ascii"))
     except ValueError as exc:
         raise InvalidField(str(exc)) from exc
     # latin-1 maps every byte; parse_expiry refuses non-digits

@@ -3,7 +3,9 @@ channel announcements, automatic settlement claims, and claim receipt; the
 one table that answers the sub-protocol entries of inbound BTP Messages; and
 the one outbound path: `request_entry` sends an entry and returns the data of
 the reply entry of the same name, and `send_prepare` sends an ILP Prepare and
-returns its Fulfill or Reject, turning link failures into Rejects.
+returns its Fulfill or Reject, turning link failures into Rejects
+(`relay_prepare` does the same for a Prepare already encoded, and leaves its
+Fulfill encoded).
 
 Each receiving side registers a handler per entry name (see `dispatch`).
 Entries, and who answers them:
@@ -67,9 +69,7 @@ def ildcp_entry(address: ilp.IlpAddress, asset_code: str, asset_scale: int) -> b
 
 # Takes an entry's data; returns the reply entry, or None for no reply.
 EntryHandler = Callable[[bytes], Optional[btp.ProtocolEntry]]
-# Takes a Prepare, decoded or as bytes (see ilp_handler); returns the reply
-# packet, encoded or not.
-PrepareHandler = Callable[[ilp.PreparePacket | bytes], ilp.IlpPacket | bytes]
+PrepareHandler = Callable[[ilp.PreparePacket], ilp.IlpPacket]
 
 # The type bytes of an encoded Prepare and Fulfill.
 _PREPARE = wire.BYTES[ilp.TYPE_PREPARE]
@@ -102,25 +102,37 @@ def request_entry(endpoint: link.LinkEndpoint, entry: btp.ProtocolEntry, timeout
 
 def send_prepare(
     endpoint: link.LinkEndpoint,
-    prepare: ilp.PreparePacket | bytes,
+    prepare: ilp.PreparePacket,
     timeout: float,
     triggered_by: ilp.IlpAddress,
-) -> ilp.FulfillPacket | ilp.RejectPacket | tuple[bytes, bytes]:
+) -> ilp.FulfillPacket | ilp.RejectPacket:
     """Send a Prepare and return its Fulfill or Reject. A timeout becomes an
     R00 Reject; any other link failure, or an answer that is a Prepare or no
-    ILP packet at all, a T00 Reject triggered by `triggered_by`.
+    ILP packet at all, a T00 Reject triggered by `triggered_by`."""
+    return _exchange(
+        endpoint, ilp.encode_packet(prepare), timeout, triggered_by, ilp.decode_packet
+    )
 
-    A Prepare given as bytes (a hop relaying one) is sent as it is, and its
-    Fulfill is not decoded: it comes back as the pair (bytes as received,
-    fulfillment), checked by ilp.read_fulfill."""
-    raw = isinstance(prepare, bytes)
+
+def relay_prepare(
+    endpoint: link.LinkEndpoint, data: bytes, timeout: float, triggered_by: ilp.IlpAddress
+) -> tuple[bytes, bytes] | ilp.RejectPacket:
+    """Send an encoded Prepare as it is (a hop relaying one) and return its
+    Fulfill as the pair (bytes as received, fulfillment), checked by
+    ilp.read_fulfill but not decoded, or its Reject, as send_prepare does."""
+    return _exchange(
+        endpoint, data, timeout, triggered_by, lambda answer: (answer, ilp.read_fulfill(answer)[0])
+    )
+
+
+def _exchange(endpoint, data, timeout, triggered_by, read_fulfill):
+    """Send the encoded Prepare `data`; return read_fulfill of a Fulfill
+    answer, a Reject answer decoded, or a Reject for what went wrong."""
     try:
-        data = request_entry(
-            endpoint, ilp_entry(prepare if raw else ilp.encode_packet(prepare)), timeout
-        )
-        if raw and data[:1] == _FULFILL:
-            return data, ilp.read_fulfill(data)[0]
-        packet = ilp.decode_packet(data)
+        answer = request_entry(endpoint, ilp_entry(data), timeout)
+        if answer[:1] == _FULFILL:
+            return read_fulfill(answer)
+        packet = ilp.decode_packet(answer)
     except link.Timeout as exc:
         code, message = ilp.R00_TRANSFER_TIMED_OUT, f"timed out: {exc}"
     except link.LinkError as exc:
@@ -128,7 +140,7 @@ def send_prepare(
     except wire.CodecError as exc:
         code, message = ilp.T00_INTERNAL_ERROR, f"undecodable answer: {exc}"
     else:
-        if not isinstance(packet, ilp.PreparePacket):
+        if isinstance(packet, ilp.RejectPacket):
             return packet
         code, message = ilp.T00_INTERNAL_ERROR, "answered with a Prepare"
     return ilp.RejectPacket(code=code, triggered_by=triggered_by, message=message)
@@ -138,19 +150,22 @@ def message_handler(table: dict[str, EntryHandler]) -> link.MessageHandler:
     return lambda _endpoint, entries: dispatch(table, entries)
 
 
-def ilp_handler(handle_prepare: PrepareHandler, raw: bool = False) -> EntryHandler:
-    """The "ilp" entry: refuse anything but a Prepare, and answer a Prepare
-    with handle_prepare's reply. handle_prepare gets the Prepare decoded or,
-    if `raw`, as the bytes received; a reply that is bytes already is passed
-    on as it is, any other is encoded. handle_prepare should look its method
-    up at call time."""
+def check_prepare(data: bytes) -> None:
+    """Refuse an "ilp" entry that is not a Prepare: bad bytes raise
+    CodecError, a Fulfill or Reject F00. A Prepare is not read here."""
+    if data[:1] != _PREPARE:
+        ilp.decode_packet(data)
+        raise link.BtpErrorResponse("F00", "only Prepare may initiate an exchange")
+
+
+def ilp_handler(handle_prepare: PrepareHandler) -> EntryHandler:
+    """The "ilp" entry: refuse anything but a Prepare, decode it and encode
+    handle_prepare's reply. handle_prepare should look its method up at call
+    time."""
 
     def handle(data: bytes) -> btp.ProtocolEntry:
-        if data[:1] != _PREPARE:
-            ilp.decode_packet(data)  # bad bytes raise CodecError
-            raise link.BtpErrorResponse("F00", "only Prepare may initiate an exchange")
-        reply = handle_prepare(data if raw else ilp.decode_packet(data))
-        return ilp_entry(reply if isinstance(reply, bytes) else ilp.encode_packet(reply))
+        check_prepare(data)
+        return ilp_entry(ilp.encode_packet(handle_prepare(ilp.decode_packet(data))))
 
     return handle
 
@@ -180,20 +195,12 @@ class Peer:
         self.events = event_log
         self._settle_lock = threading.Lock()
 
-    def attach(
-        self,
-        endpoint: link.LinkEndpoint,
-        handle_prepare: PrepareHandler,
-        raw: bool = False,
-        **entries: EntryHandler,
-    ) -> None:
-        """Make endpoint the link to this peer and answer its entries: "ilp"
-        through handle_prepare (given the Prepare as bytes if `raw`, see
-        ilp_handler), plus "channel", "claim" and "ledger_identity";
-        `entries` adds or replaces handlers by name.
+    def attach(self, endpoint: link.LinkEndpoint, **entries: EntryHandler) -> None:
+        """Make endpoint the link to this peer and answer its entries: the
+        handlers of `entries` by name, "ilp" among them (see ilp_handler),
+        plus "channel", "claim" and "ledger_identity" unless replaced.
         Handlers look methods up per call, so patched methods take effect."""
         table: dict[str, EntryHandler] = {
-            "ilp": ilp_handler(handle_prepare, raw),
             "channel": lambda data: self.handle_channel_entry(data),
             "claim": lambda data: self.handle_claim_entry(data),
             "ledger_identity": lambda _data: json_entry(

@@ -98,7 +98,9 @@ class UplinkNode:
         """Authenticate to the parent over an established transport, learn the
         child address, and open the outgoing payment channel."""
         endpoint = link.LinkEndpoint(transport)
-        self.parent.attach(endpoint, lambda prepare: self._handle_prepare(prepare))
+        self.parent.attach(
+            endpoint, ilp=peering.ilp_handler(lambda prepare: self._handle_prepare(prepare))
+        )
         endpoint.authenticate(self.config.name, self.config.token, timeout=self.request_timeout)
         info = json.loads(
             peering.request_entry(endpoint, peering.json_entry("ildcp", {}), self.request_timeout)

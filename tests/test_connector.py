@@ -231,6 +231,24 @@ def test_malformed_downstream_reject_becomes_t00_and_rolls_back(clock):
     assert from_peer.balance.value == 0
 
 
+@pytest.mark.parametrize(
+    "answer",
+    [
+        lambda clock: ilp.encode_packet(prepare_for(clock, 100)),
+        lambda _clock: ilp.encode_packet(ilp.FulfillPacket(bytes(32)))[:-1],
+        lambda _clock: bytes.fromhex("0d0567617262616765"),
+    ],
+    ids=["prepare", "truncated_fulfill", "not_an_ilp_packet"],
+)
+def test_bad_downstream_answer_becomes_t00_and_rolls_back(clock, answer):
+    conn, from_peer, to_peer = build(clock)
+    to_peer.endpoint = RawReplyEndpoint(answer(clock))
+    response = relay(conn, from_peer, prepare_for(clock, 100))
+    assert (response.code, str(response.triggered_by)) == ("T00", "g.conn1")
+    assert from_peer.balance.value == 0
+    assert to_peer.balance.value == 0
+
+
 def contents_offset(encoded: bytes) -> int:
     """Where a packet's contents start: after its type byte and length prefix."""
     return 2 if encoded[1] < 128 else 2 + (encoded[1] & 0x7F)

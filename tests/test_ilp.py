@@ -285,15 +285,6 @@ def test_rewrite_prepare_replaces_only_amount_and_expiry(prepare, amount, expire
     )
 
 
-def test_decoded_addresses_are_memoized_and_malformed_ones_refused_every_time():
-    encoded = ilp.encode_packet(capture_prepare())
-    assert ilp.decode_packet(encoded).destination is ilp.decode_packet(encoded).destination
-    bad = raw_reject(b"g..memo")
-    for _ in range(2):
-        with pytest.raises(InvalidField):
-            ilp.decode_packet(bad)
-
-
 def test_parse_expiry_refuses_non_ascii_digits():
     with pytest.raises(ilp.BadExpiryDigits):
         ilp.parse_expiry("2019061909430150３")  # fullwidth 3
