@@ -6,7 +6,9 @@ forwarded with its amount and expiry rewritten in place, and a Fulfill is
 relayed as received once it matches the condition.
 
 Middleware order on an incoming Prepare is fixed: expiry, maxPacketAmount
-(F08), trust limit (T04), then route lookup (F02)."""
+(F08), trust limit (T04), then route lookup (F02). A converted amount too
+large for an ILP amount (2^64 or more) is F08 as well, and rolls back the
+incoming balance."""
 
 from __future__ import annotations
 
@@ -294,6 +296,11 @@ class Connector:
         except rates.NoRate as exc:
             from_peer.balance.rollback_incoming(amount)
             return self._reject(ilp.F02_UNREACHABLE, str(exc))
+        if out_amount >= 2**64:
+            from_peer.balance.rollback_incoming(amount)
+            return self._reject(
+                ilp.F08_AMOUNT_TOO_LARGE, f"converted amount {out_amount} exceeds 64 bits"
+            )
         forwarded = ilp.rewrite_prepare(
             data, head, out_amount, expires_at - self.expiry_decrement
         )

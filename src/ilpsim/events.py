@@ -2,16 +2,17 @@
 
 Events carry no wall-clock timestamps so that a run under a fixed seed
 produces an identical log; ordering comes from a global sequence number.
+An event is a named tuple, built on every packet. `NULL_LOG`, the log of
+every component built without one, keeps nothing.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     seq: int
     component: str
     kind: str
@@ -43,4 +44,11 @@ class EventLog:
         ]
 
 
-NULL_LOG = EventLog()
+class _NullLog(EventLog):
+    """A log that keeps nothing: `emit` drops the event."""
+
+    def emit(self, component: str, kind: str, **detail) -> None:
+        pass
+
+
+NULL_LOG = _NullLog()

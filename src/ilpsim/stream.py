@@ -24,7 +24,7 @@ import threading
 from dataclasses import dataclass
 from datetime import timedelta
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import ilp
 from .clock import SimClock
@@ -76,8 +76,7 @@ def _keystream(secret: bytes, sequence: int, length: int) -> bytes:
     return out[:length]
 
 
-@dataclass(frozen=True)
-class StreamFrame:
+class StreamFrame(NamedTuple):
     sequence: int
     flags: int = 0
     payload: bytes = b""

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilpsim import btp, ilp
-from ilpsim.wire import CodecError, InvalidField, LengthMismatch, Truncated
+from ilpsim.wire import CodecError, InvalidField, LengthMismatch, Truncated, encode_length
 
 import vectors
 from test_ilp import capture_prepare, flip_byte
@@ -133,3 +133,75 @@ def test_decode_raises_only_codec_error(raw):
         btp.decode_frame(raw)
     except CodecError:
         pass
+
+
+def frame_of(body: bytes, request_id: int = 7) -> bytes:
+    return bytes([btp.TYPE_MESSAGE]) + request_id.to_bytes(4, "big") + encode_length(len(body)) + body
+
+
+def test_name_over_255_bytes_raises_invalid_field():
+    name = b"n" * 300  # announced with a 2-byte length prefix
+    body = b"\x01\x01" + encode_length(len(name)) + name + b"\x00\x00"
+    assert encode_length(len(name))[0] == 0x82
+    with pytest.raises(InvalidField):
+        btp.decode_frame(frame_of(body))
+
+
+def test_255_byte_name_and_300_entries_round_trip():
+    entries = (btp.ProtocolEntry("n" * 255, 2, b"{}"),) + tuple(
+        btp.ProtocolEntry(f"p{i}", 0, bytes([i % 256])) for i in range(299)
+    )
+    frame = btp.BtpFrame(btp.TYPE_RESPONSE, 2**32 - 1, entries)
+    encoded = btp.encode_frame(frame)
+    assert encoded[5 + 3 : 5 + 3 + 3] == b"\x02\x01\x2c"  # count 300 takes two bytes
+    assert btp.decode_frame(encoded) == frame
+
+
+def test_zero_length_count_raises_codec_error():
+    with pytest.raises(CodecError):
+        btp.decode_frame(frame_of(b"\x00"))
+
+
+def test_non_minimal_length_prefixes_decode():
+    # 0x81 n is a longer form of a length below 128: the body, the name and
+    # the data each use it here, and the frame decodes as if they did not.
+    body = b"\x01\x01" + b"\x81\x03ilp" + b"\x00" + b"\x81\x02ab"
+    raw = bytes([btp.TYPE_MESSAGE]) + (7).to_bytes(4, "big") + b"\x81" + bytes([len(body)]) + body
+    assert btp.decode_frame(raw) == btp.BtpFrame(
+        btp.TYPE_MESSAGE, 7, (btp.ProtocolEntry("ilp", 0, b"ab"),)
+    )
+
+
+def test_decoded_frame_equals_constructed_frame():
+    frame = btp.BtpFrame(
+        frame_type=btp.TYPE_MESSAGE,
+        request_id=7,
+        entries=(
+            btp.ProtocolEntry(name="ilp", content_type=0, data=b"\x0c"),
+            btp.ProtocolEntry(name="auth", content_type=1, data=b""),
+        ),
+    )
+    decoded = btp.decode_frame(btp.encode_frame(frame))
+    assert decoded == frame
+    assert type(decoded) is btp.BtpFrame
+    assert [type(e) for e in decoded.entries] == [btp.ProtocolEntry] * 2
+    assert decoded.entry("auth") == frame.entries[1]
+    assert decoded.entry("nope") is None
+    assert hash(decoded) == hash(frame)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: btp.ProtocolEntry("", 0, b""),
+        lambda: btp.ProtocolEntry("n" * 256, 0, b""),
+        lambda: btp.ProtocolEntry("ilp", 3, b""),
+        lambda: btp.ProtocolEntry(name="ilp", content_type=-1, data=b""),
+        lambda: btp.BtpFrame(9, 0),
+        lambda: btp.BtpFrame(btp.TYPE_MESSAGE, -1),
+        lambda: btp.BtpFrame(frame_type=btp.TYPE_MESSAGE, request_id=2**32),
+    ],
+)
+def test_bad_constructor_arguments_raise_value_error(make):
+    with pytest.raises(ValueError):
+        make()

@@ -171,6 +171,26 @@ def test_conversion_applied_on_forward(clock):
     assert forwarded.amount == 62_000_000
 
 
+def test_converted_amount_over_64_bits_is_f08_and_rolls_back(clock):
+    conn = conn_mod.Connector(
+        "g.conn1", rates.RateBackend("one-to-one"), {"xrp": make_ledger()}, clock=clock
+    )
+    big = conn_mod.BalancePolicy(maximum=2**63, settle_threshold=-(10**8), settle_to=0)
+    conn.add_account(account("alice", policy=big))
+    conn.add_account(account("esther", asset_code="ETH", asset_scale=9, policy=big))
+    src = conn._new_peer(conn.accounts["alice"], "alice")
+    dst = conn._new_peer(conn.accounts["esther"], "esther")
+    conn.register_child(src)
+    conn.register_child(dst)
+    dst.endpoint = ScriptedEndpoint(fulfill_for)
+    # 2^60 at scale 6 is 2^60 * 1000 at scale 9: more than an ILP amount holds
+    response = relay(conn, src, prepare_for(clock, 2**60, dest="g.conn1.esther.esther.x"))
+    assert response.code == "F08"
+    assert str(response.triggered_by) == "g.conn1"
+    assert src.balance.value == 0
+    assert dst.endpoint.prepares == []
+
+
 def test_missing_rate_f02(clock):
     backend = rates.RateBackend("static-table", {})
     conn = conn_mod.Connector("g.conn1", backend, {"xrp": make_ledger()}, clock=clock)

@@ -10,7 +10,8 @@ from datetime import datetime, timezone
 import pytest
 
 from ilpsim import connector as conn_mod
-from ilpsim import ilp, ledger as lg, link, peering, scenario, uplink
+from ilpsim import ilp, ledger as lg, link, peering, scenario, stream, uplink
+from ilpsim.events import NULL_LOG
 from ilpsim.localapp import LocalApp
 
 ACCOUNT = {
@@ -81,13 +82,13 @@ def make_connector(ledger, **account_over):
     )
 
 
-def make_node(ledger, server="", fund=True):
-    cfg = {"name": "alice", "token": "alice-pw", "assetCode": "XRP", "assetScale": 6}
+def make_node(ledger, server="", fund=True, name="alice", **over):
+    cfg = {"name": name, "token": f"{name}-pw", "assetCode": "XRP", "assetScale": 6, **over}
     if server:
         cfg["server"] = server
-    node = uplink.UplinkNode(uplink.uplink_from_config({**cfg, "ledgerAccount": "alice"}), ledger)
+    node = uplink.UplinkNode(uplink.uplink_from_config({**cfg, "ledgerAccount": name}), ledger)
     if fund:
-        ledger.create_and_fund("alice", node._pubkey, 2000)
+        ledger.create_and_fund(name, node._pubkey, 2000)
     return node
 
 
@@ -115,6 +116,37 @@ def test_channel_below_minimum_refused_f00():
         assert conn.peers["alice.alice"].balance.incoming_channel is None
     finally:
         node.close()
+
+
+def test_components_built_without_a_log_keep_no_events():
+    ledger = xrp_ledger()
+    conn = conn_mod.load_connector(
+        {
+            "ilp_address": "g.conn1",
+            "backend": "one-to-one",
+            "accounts": {
+                name: {**ACCOUNT, "options": {"secret": f"{name}-pw"}} for name in ("alice", "bob")
+            },
+        },
+        {"xrp": ledger},
+    )
+    nodes = [make_node(ledger, name=name, balance=ACCOUNT["balance"]) for name in ("alice", "bob")]
+    try:
+        for node in nodes:
+            t_node, t_conn = link.memory_pair()
+            conn.accept_transport(node.config.name, t_conn)
+            node.connect(t_node)
+        server = stream.StreamServer()
+        nodes[1].attach_stream_server(server)
+        report = nodes[0].open_stream(server.generate_credentials()).send_money(100, 10)
+        assert report.source_sent == 100
+        assert server.total_received == 100
+        assert conn.events is nodes[0].events is nodes[1].events is NULL_LOG
+        assert NULL_LOG.events() == []
+        assert NULL_LOG.to_json() == []
+    finally:
+        for node in nodes:
+            node.close()
 
 
 def test_duplicate_child_refused_at_authentication():
