@@ -1,65 +1,67 @@
 """HTTP RPC for the mock ledger, so connectors and uplink nodes in other
 processes can share one ledger instance.
 
-One endpoint, POST /rpc with {"method": ..., "kwargs": {...}}; results and
-ledger exceptions travel back as JSON. RemoteLedger mirrors the Ledger API
-so it can be passed anywhere a Ledger is expected."""
+One endpoint, POST /rpc with {"method": ..., "kwargs": {...}}: the server
+calls the Ledger method of that name if RemoteLedger mirrors it, and `describe`
+answers the fields of the ledger's config. Values travel in one JSON form
+both ways (`_encode`): a record is an object of its fields, bytes are hex
+and a datetime is an ISO string; `_decode` reads back the fields that are
+not plain JSON. A ledger error comes back as {"error": {"type", "message"}}
+and is raised again by RemoteLedger, which mirrors the Ledger API so it can
+be passed anywhere a Ledger is expected."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 from datetime import datetime
-from typing import Optional
+from typing import Any, Optional
 
 from . import ledger as lg
 from .admin import AdminServer, call_json
 
 log = logging.getLogger(__name__)
 
-_METHODS = {
-    "describe", "create_and_fund", "transfer", "open_channel", "fund_channel",
-    "get_channel", "channels", "verify_claim", "redeem_claim", "close_channel",
-    "finalize_closing", "account_info", "total_value", "snapshot",
+def _encode(value: Any) -> Any:
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    if isinstance(value, bytes):
+        return value.hex()
+    if isinstance(value, datetime):
+        return value.isoformat()
+    return value
+
+
+# Field name -> reader of its JSON form, for the fields that are not plain JSON.
+_FIELDS = {
+    "public_key": bytes.fromhex,
+    "signature": bytes.fromhex,
+    "close_after": lambda text: text and datetime.fromisoformat(text),
+    "claim": lambda fields: lg.Claim(**_decode(fields)),
 }
 
 
-def _account_json(account: lg.Account) -> dict:
-    return {
-        "account_id": account.account_id,
-        "public_key": account.public_key.hex(),
-        "balance": account.balance,
-    }
+def _decode(fields: dict) -> dict:
+    return {key: _FIELDS[key](item) if key in _FIELDS else item for key, item in fields.items()}
 
 
-def _channel_json(channel: lg.PaymentChannel) -> dict:
-    return {
-        "channel_id": channel.channel_id,
-        "account": channel.account,
-        "destination": channel.destination,
-        "amount": channel.amount,
-        "balance": channel.balance,
-        "public_key": channel.public_key.hex(),
-        "settle_delay": channel.settle_delay,
-        "state": channel.state,
-        "close_after": channel.close_after.isoformat() if channel.close_after else None,
-    }
+def _account(fields: dict) -> lg.Account:
+    return lg.Account(**_decode(fields))
 
 
-def _channel_from_json(data: dict) -> lg.PaymentChannel:
-    return lg.PaymentChannel(
-        channel_id=data["channel_id"],
-        account=data["account"],
-        destination=data["destination"],
-        amount=data["amount"],
-        balance=data["balance"],
-        public_key=bytes.fromhex(data["public_key"]),
-        settle_delay=data["settle_delay"],
-        state=data["state"],
-        close_after=(
-            datetime.fromisoformat(data["close_after"]) if data["close_after"] else None
-        ),
-    )
+def _channel(fields: dict) -> lg.PaymentChannel:
+    return lg.PaymentChannel(**_decode(fields))
+
+
+def _error_class(type_name: str) -> type[lg.LedgerError]:
+    """The LedgerError subclass of that name, else LedgerError itself."""
+    cls = getattr(lg, type_name, None)
+    return cls if isinstance(cls, type) and issubclass(cls, lg.LedgerError) else lg.LedgerError
 
 
 class LedgerApiServer(AdminServer):
@@ -81,58 +83,13 @@ class LedgerApiServer(AdminServer):
 
     def _dispatch(self, call: dict) -> dict:
         method = call.get("method")
-        if method not in _METHODS:
-            raise lg.LedgerError(f"unknown method {method!r}")
-        kwargs = call.get("kwargs", {})
-        ledger = self.ledger
         if method == "describe":
-            cfg = ledger.config
-            result = {
-                "asset_code": cfg.asset_code,
-                "asset_scale": cfg.asset_scale,
-                "genesis_balance": cfg.genesis_balance,
-                "ledger_id": cfg.ledger_id,
-            }
-        elif method == "create_and_fund":
-            result = _account_json(
-                ledger.create_and_fund(
-                    kwargs["account_id"], bytes.fromhex(kwargs["public_key"]), kwargs["amount"]
-                )
-            )
-        elif method == "transfer":
-            result = ledger.transfer(kwargs["src"], kwargs["dst"], kwargs["amount"])
-        elif method == "open_channel":
-            result = _channel_json(
-                ledger.open_channel(
-                    kwargs["account"],
-                    kwargs["destination"],
-                    kwargs["amount"],
-                    kwargs["settle_delay"],
-                    bytes.fromhex(kwargs["public_key"]),
-                )
-            )
-        elif method == "fund_channel":
-            result = _channel_json(ledger.fund_channel(kwargs["channel_id"], kwargs["additional"]))
-        elif method == "get_channel":
-            result = _channel_json(ledger.get_channel(kwargs["channel_id"]))
-        elif method == "channels":
-            result = [_channel_json(c) for c in ledger.channels(kwargs.get("account_id"))]
-        elif method in ("verify_claim", "redeem_claim"):
-            claim = lg.Claim(
-                kwargs["channel_id"], kwargs["cumulative_amount"], bytes.fromhex(kwargs["signature"])
-            )
-            result = getattr(ledger, method)(claim)
-        elif method == "close_channel":
-            result = _channel_json(ledger.close_channel(kwargs["channel_id"], kwargs["initiator"]))
-        elif method == "finalize_closing":
-            result = _channel_json(ledger.finalize_closing(kwargs["channel_id"]))
-        elif method == "account_info":
-            result = _account_json(ledger.account_info(kwargs["account_id"]))
-        elif method == "total_value":
-            result = ledger.total_value()
-        else:  # snapshot
-            result = ledger.snapshot()
-        return {"result": result}
+            result = self.ledger.config
+        elif method in CALLS:
+            result = getattr(self.ledger, method)(**_decode(call.get("kwargs", {})))
+        else:
+            raise lg.LedgerError(f"unknown method {method!r}")
+        return {"result": _encode(result)}
 
 
 class RemoteLedger:
@@ -142,82 +99,60 @@ class RemoteLedger:
     def __init__(self, base_url: str, timeout: float = 5.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        info = self._call("describe")
-        self.config = lg.LedgerConfig(**info)
+        self.config = lg.LedgerConfig(**self._call("describe"))
 
     def _call(self, method: str, **kwargs):
         body = call_json(
-            "POST", f"{self.base_url}/rpc", {"method": method, "kwargs": kwargs}, self.timeout
+            "POST", f"{self.base_url}/rpc", {"method": method, "kwargs": _encode(kwargs)}, self.timeout
         )
         if "error" in body:
-            exc_type = getattr(lg, body["error"]["type"], lg.LedgerError)
-            raise exc_type(body["error"]["message"])
+            raise _error_class(body["error"]["type"])(body["error"]["message"])
         return body["result"]
 
     def create_and_fund(self, account_id: str, public_key: bytes, amount: int) -> lg.Account:
-        data = self._call(
-            "create_and_fund", account_id=account_id, public_key=public_key.hex(), amount=amount
+        return _account(
+            self._call("create_and_fund", account_id=account_id, public_key=public_key, amount=amount)
         )
-        return lg.Account(data["account_id"], bytes.fromhex(data["public_key"]), data["balance"])
 
     def transfer(self, src: str, dst: str, amount: int) -> str:
         return self._call("transfer", src=src, dst=dst, amount=amount)
 
     def open_channel(self, account, destination, amount, settle_delay, public_key) -> lg.PaymentChannel:
-        return _channel_from_json(
-            self._call(
-                "open_channel",
-                account=account,
-                destination=destination,
-                amount=amount,
-                settle_delay=settle_delay,
-                public_key=public_key.hex(),
-            )
-        )
+        return _channel(self._call(
+            "open_channel", account=account, destination=destination, amount=amount,
+            settle_delay=settle_delay, public_key=public_key,
+        ))
 
     def fund_channel(self, channel_id: str, additional: int) -> lg.PaymentChannel:
-        return _channel_from_json(
-            self._call("fund_channel", channel_id=channel_id, additional=additional)
-        )
+        return _channel(self._call("fund_channel", channel_id=channel_id, additional=additional))
 
     def get_channel(self, channel_id: str) -> lg.PaymentChannel:
-        return _channel_from_json(self._call("get_channel", channel_id=channel_id))
+        return _channel(self._call("get_channel", channel_id=channel_id))
 
     def channels(self, account_id: Optional[str] = None) -> list[lg.PaymentChannel]:
-        return [
-            _channel_from_json(c) for c in self._call("channels", account_id=account_id)
-        ]
+        return [_channel(c) for c in self._call("channels", account_id=account_id)]
 
     def verify_claim(self, claim: lg.Claim) -> bool:
-        return self._call(
-            "verify_claim",
-            channel_id=claim.channel_id,
-            cumulative_amount=claim.cumulative_amount,
-            signature=claim.signature.hex(),
-        )
+        return self._call("verify_claim", claim=claim)
 
     def redeem_claim(self, claim: lg.Claim) -> int:
-        return self._call(
-            "redeem_claim",
-            channel_id=claim.channel_id,
-            cumulative_amount=claim.cumulative_amount,
-            signature=claim.signature.hex(),
-        )
+        return self._call("redeem_claim", claim=claim)
 
     def close_channel(self, channel_id: str, initiator: str) -> lg.PaymentChannel:
-        return _channel_from_json(
-            self._call("close_channel", channel_id=channel_id, initiator=initiator)
-        )
+        return _channel(self._call("close_channel", channel_id=channel_id, initiator=initiator))
 
     def finalize_closing(self, channel_id: str) -> lg.PaymentChannel:
-        return _channel_from_json(self._call("finalize_closing", channel_id=channel_id))
+        return _channel(self._call("finalize_closing", channel_id=channel_id))
 
     def account_info(self, account_id: str) -> lg.Account:
-        data = self._call("account_info", account_id=account_id)
-        return lg.Account(data["account_id"], bytes.fromhex(data["public_key"]), data["balance"])
+        return _account(self._call("account_info", account_id=account_id))
 
     def total_value(self) -> int:
         return self._call("total_value")
 
     def snapshot(self) -> dict:
         return self._call("snapshot")
+
+
+# The Ledger methods the server calls by name, besides `describe`: the ones RemoteLedger mirrors.
+CALLS = frozenset(name for name in vars(RemoteLedger) if not name.startswith("_"))

@@ -376,11 +376,3 @@ def load_builtin(name: str) -> dict:
     if not entry.is_file():
         raise FileNotFoundError(f"no built-in scenario named {name!r}")
     return json.loads(entry.read_text())
-
-
-def conservation_check(report: ScenarioReport) -> dict[str, bool]:
-    return {
-        key.split(":", 1)[1]: value
-        for key, value in report.checks.items()
-        if key.startswith("conservation:")
-    }

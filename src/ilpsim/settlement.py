@@ -21,11 +21,6 @@ log = logging.getLogger(__name__)
 ChannelSize = Callable[[], int]
 
 
-class ChannelExhausted(Exception):
-    """The next settlement claim would exceed the channel size; settlement
-    is deferred until the channel is topped up."""
-
-
 @dataclass(frozen=True)
 class BalancePolicy:
     maximum: int

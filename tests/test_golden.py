@@ -1,8 +1,11 @@
 """Fault-free scenario reports must stay byte-identical across refactors.
 
 `tests/golden/` holds the report of each built-in spec at seeds 0 and 1, as
-`ilpsim scenario run <spec> --seed <n>` writes it. Run this module as a
-script to rewrite the files from the current code:
+`ilpsim scenario run <spec> --seed <n>` writes it. Each case runs twice:
+with in-process ledgers, and with each ledger behind `LedgerApiServer` and
+used through `RemoteLedger`, as the multi-process test-bed does. Both runs
+must match the same file. Run this module as a script to rewrite the files
+from the current code (in-process ledgers):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from ilpsim import scenario
+from ilpsim.ledger_http import LedgerApiServer, RemoteLedger
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = (0, 1)
@@ -31,6 +35,29 @@ def _report(name: str, seed: int) -> str:
 @pytest.mark.parametrize("name,seed", CASES)
 def test_fault_free_report_matches_golden(name, seed):
     assert _report(name, seed) == _path(name, seed).read_text()
+
+
+@pytest.fixture
+def http_ledgers(monkeypatch):
+    """Makes every ledger a scenario loads a RemoteLedger of a ledger served
+    over HTTP."""
+    load_ledger = scenario.lg.load_ledger
+    servers = []
+
+    def load_remote(config, clock=None):
+        servers.append(LedgerApiServer(load_ledger(config, clock=clock)))
+        return RemoteLedger(servers[-1].url)
+
+    monkeypatch.setattr(scenario.lg, "load_ledger", load_remote)
+    yield servers
+    for server in servers:
+        server.close()
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_fault_free_report_with_http_ledgers_matches_golden(http_ledgers, name, seed):
+    assert _report(name, seed) == _path(name, seed).read_text()
+    assert http_ledgers
 
 
 if __name__ == "__main__":

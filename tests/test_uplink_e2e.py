@@ -236,3 +236,33 @@ def test_local_app_first_request_never_refused():
     finally:
         node.close()
     assert refused == []
+
+
+def test_local_app_port_zero_binds_an_ephemeral_port():
+    ledger = lg.load_ledger(
+        {"ledgerId": "xrp", "assetCode": "XRP", "assetScale": 6, "genesisBalance": 10**8}
+    )
+    nodes = [
+        uplink.UplinkNode(
+            uplink.uplink_from_config(
+                {"name": name, "assetCode": "XRP", "assetScale": 6, "ledgerAccount": name,
+                 "localAppPort": 0}
+            ),
+            ledger,
+        )
+        for name in ("alice", "bob")
+    ]
+    try:
+        ports = [node.listen_local() for node in nodes]
+    finally:
+        for node in nodes:
+            node.close()
+    assert uplink.DEFAULT_LOCAL_APP_PORT not in ports
+    assert 0 not in ports
+    assert ports[0] != ports[1]
+
+
+def test_local_app_port_defaults_and_reads_strings():
+    base = {"name": "alice", "assetCode": "XRP", "assetScale": 6, "ledgerAccount": "alice"}
+    assert uplink.uplink_from_config(base).local_app_port == uplink.DEFAULT_LOCAL_APP_PORT
+    assert uplink.uplink_from_config({**base, "localAppPort": "7800"}).local_app_port == 7800
