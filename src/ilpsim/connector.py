@@ -223,15 +223,10 @@ class Connector:
     def _serve(self, peer: ConnectorPeer, endpoint: link.LinkEndpoint) -> None:
         peer.attach(
             endpoint,
-            ilp=lambda data: self._answer_prepare(peer, data),
+            ilp=peering.ilp_handler(lambda data: self.handle_prepare(peer, data)),
             ildcp=lambda _data: self._ildcp_response(peer),
             channel=lambda data: self._accept_channel(peer, data),
         )
-
-    def _answer_prepare(self, peer: ConnectorPeer, data: bytes) -> btp.ProtocolEntry:
-        peering.check_prepare(data)
-        reply = self.handle_prepare(peer, data)
-        return peering.ilp_entry(reply if isinstance(reply, bytes) else ilp.encode_packet(reply))
 
     def _ildcp_response(self, peer: ConnectorPeer) -> btp.ProtocolEntry:
         if peer.child_address is None:

@@ -13,10 +13,12 @@ be passed anywhere a Ledger is expected."""
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 import json
 import logging
 from datetime import datetime
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import ledger as lg
 from .admin import AdminServer, call_json
@@ -74,22 +76,28 @@ class LedgerApiServer(AdminServer):
 
     def _rpc(self, request: bytes) -> dict:
         try:
-            return self._dispatch(json.loads(request))
+            return {"result": _encode(self._bind(request)())}
         except lg.LedgerError as exc:
             return {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        except Exception as exc:
+        except Exception as exc:  # a fault of the ledger itself
             log.exception("ledger rpc failed")
             return {"error": {"type": "LedgerError", "message": str(exc)}}
 
-    def _dispatch(self, call: dict) -> dict:
-        method = call.get("method")
-        if method == "describe":
-            result = self.ledger.config
-        elif method in CALLS:
-            result = getattr(self.ledger, method)(**_decode(call.get("kwargs", {})))
-        else:
-            raise lg.LedgerError(f"unknown method {method!r}")
-        return {"result": _encode(result)}
+    def _bind(self, request: bytes) -> Callable[[], Any]:
+        """The ledger call a request names, with its arguments read and bound,
+        so that a client's mistake raises LedgerError before the ledger runs."""
+        try:
+            call = json.loads(request)
+            method = call.get("method")
+            if method == "describe":
+                return lambda: self.ledger.config
+            if method not in CALLS:
+                raise lg.LedgerError(f"unknown method {method!r}")
+            fn = getattr(self.ledger, method)
+            bound = inspect.signature(fn).bind(**_decode(call.get("kwargs", {})))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise lg.LedgerError(f"bad request: {exc}") from exc
+        return functools.partial(fn, *bound.args, **bound.kwargs)
 
 
 class RemoteLedger:

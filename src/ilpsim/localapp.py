@@ -28,7 +28,11 @@ class LocalApp:
         self.timeout = timeout
         self.stream_server: Optional[stream.StreamServer] = None
         # Prepares arrive only after listen() has set the stream server.
-        table = {"ilp": peering.ilp_handler(lambda p: self.stream_server.handle_prepare(p))}
+        table = {
+            "ilp": peering.ilp_handler(
+                lambda data: self.stream_server.handle_prepare(ilp.decode_packet(data))
+            )
+        }
         self.endpoint = link.LinkEndpoint(transport, handler=peering.message_handler(table))
         self.endpoint.authenticate(name, token, timeout=timeout)
 

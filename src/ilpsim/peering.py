@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 from typing import Callable, Optional
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -69,7 +68,8 @@ def ildcp_entry(address: ilp.IlpAddress, asset_code: str, asset_scale: int) -> b
 
 # Takes an entry's data; returns the reply entry, or None for no reply.
 EntryHandler = Callable[[bytes], Optional[btp.ProtocolEntry]]
-PrepareHandler = Callable[[ilp.PreparePacket], ilp.IlpPacket]
+# Takes an encoded Prepare; returns its Fulfill or Reject, decoded or encoded.
+PrepareHandler = Callable[[bytes], ilp.IlpPacket | bytes]
 
 # The type bytes of an encoded Prepare and Fulfill.
 _PREPARE = wire.BYTES[ilp.TYPE_PREPARE]
@@ -150,22 +150,18 @@ def message_handler(table: dict[str, EntryHandler]) -> link.MessageHandler:
     return lambda _endpoint, entries: dispatch(table, entries)
 
 
-def check_prepare(data: bytes) -> None:
-    """Refuse an "ilp" entry that is not a Prepare: bad bytes raise
-    CodecError, a Fulfill or Reject F00. A Prepare is not read here."""
-    if data[:1] != _PREPARE:
-        ilp.decode_packet(data)
-        raise link.BtpErrorResponse("F00", "only Prepare may initiate an exchange")
-
-
 def ilp_handler(handle_prepare: PrepareHandler) -> EntryHandler:
-    """The "ilp" entry: refuse anything but a Prepare, decode it and encode
-    handle_prepare's reply. handle_prepare should look its method up at call
-    time."""
+    """The "ilp" entry: refuse anything but a Prepare (bad bytes raise
+    CodecError, a Fulfill or Reject F00), pass the encoded Prepare to
+    handle_prepare, which reads it, and encode its reply unless it is bytes
+    already. handle_prepare should look its method up at call time."""
 
     def handle(data: bytes) -> btp.ProtocolEntry:
-        check_prepare(data)
-        return ilp_entry(ilp.encode_packet(handle_prepare(ilp.decode_packet(data))))
+        if data[:1] != _PREPARE:
+            ilp.decode_packet(data)
+            raise link.BtpErrorResponse("F00", "only Prepare may initiate an exchange")
+        reply = handle_prepare(data)
+        return ilp_entry(reply if isinstance(reply, bytes) else ilp.encode_packet(reply))
 
     return handle
 
@@ -193,7 +189,6 @@ class Peer:
         self.peer_ledger_account: Optional[str] = None
         self.component = component or peer_id
         self.events = event_log
-        self._settle_lock = threading.Lock()
 
     def attach(self, endpoint: link.LinkEndpoint, **entries: EntryHandler) -> None:
         """Make endpoint the link to this peer and answer its entries: the
@@ -265,48 +260,31 @@ class Peer:
         try:
             self.endpoint.request([entry], timeout=timeout)
         except link.LinkError as exc:
-            # The claim is already signed and counted; delivery failure only
-            # delays the peer's bookkeeping, never loses ledger value.
+            # The claim is signed and this side's balance has already moved;
+            # the peer's has not, so the two sides now disagree by the claim's
+            # amount until a later claim (a higher cumulative) reaches it.
             log.warning("claim delivery to %s failed: %s", self.peer_id, exc)
 
     def record_fulfilled(self, amount: int, settle_timeout: float = 5.0) -> None:
-        """Outgoing-side bookkeeping after a verified fulfill; settles (and
-        tops up the channel first if it is too small) when the threshold is
-        crossed. The ledger is asked for the channel size only then."""
-        with self._settle_lock:
-            cumulative = self.balance.on_outgoing_fulfilled(
-                amount, channel_size=self._outgoing_channel_size
-            )
-            if cumulative is None and self.balance.settlement_deferred and self._top_up():
-                cumulative = self.balance.retry_deferred_settlement(self._outgoing_channel_size)
+        """Outgoing-side bookkeeping after a verified fulfill; settles when
+        the threshold is crossed (see _escrow)."""
+        cumulative = self.balance.on_outgoing_fulfilled(amount, escrow=self._escrow)
         if cumulative is not None:
             self.settle(cumulative, timeout=settle_timeout)
 
     def settle_now(self, timeout: float = 5.0) -> Optional[int]:
-        """Immediately settle whatever is owed, topping up the channel first
-        if the claim would exceed its escrow."""
-        with self._settle_lock:
-            cumulative = self.balance.force_settle(channel_size=self._outgoing_channel_size)
-            if cumulative is None and self.balance.settlement_deferred and self._top_up():
-                cumulative = self.balance.force_settle(channel_size=self._outgoing_channel_size)
+        """Immediately settle whatever is owed (see _escrow)."""
+        cumulative = self.balance.force_settle(escrow=self._escrow)
         if cumulative is not None:
             self.settle(cumulative, timeout=timeout)
         return cumulative
 
-    def _outgoing_channel_size(self) -> int:
-        return self.ledger.get_channel(self.balance.outgoing_channel).amount
-
-    def _top_up(self) -> bool:
-        """Fund the escrow the outgoing channel lacks for a claim that settles
-        the balance to settle_to. False if there is no outgoing channel or the
-        funds are short."""
+    def _escrow(self, cumulative: int) -> bool:
+        """Make the outgoing channel's escrow cover a claim at `cumulative`:
+        read the channel once, and fund the shortfall, if any. False if the
+        funds are short. Called by the balance only when a claim is due."""
         channel_id = self.balance.outgoing_channel
-        if channel_id is None:
-            return False
-        needed = self.balance.highest_signed_cumulative + (
-            self.balance.policy.settle_to - self.balance.value
-        )
-        shortfall = needed - self._outgoing_channel_size()
+        shortfall = cumulative - self.ledger.get_channel(channel_id).amount
         if shortfall > 0:
             try:
                 self.ledger.fund_channel(channel_id, shortfall)

@@ -351,16 +351,6 @@ def _run_pay(topology: Topology, action: dict, report: ScenarioReport) -> None:
     report.payments.append(entry)
 
 
-def swap_scenario(spec: dict, src_node: str, dst_node: str, amount: int, seed: int = 0) -> ScenarioReport:
-    """Stream between two uplinks held by the same principal; the report's
-    payments carry both uplink deltas."""
-    swap_spec = {
-        **spec,
-        "actions": [{"action": "pay", "from": src_node, "to": dst_node, "amount": amount}],
-    }
-    return run_scenario(swap_spec, seed=seed)
-
-
 def load_scenario(path: str | Path) -> dict:
     with open(path) as fh:
         return json.load(fh)

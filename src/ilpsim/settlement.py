@@ -17,8 +17,9 @@ from . import ledger as lg
 
 log = logging.getLogger(__name__)
 
-# Reads the current escrow of the outgoing channel (a ledger call).
-ChannelSize = Callable[[], int]
+# Called with the cumulative amount of a claim that is due: makes the
+# outgoing channel's escrow cover it (ledger calls) and returns whether it does.
+Escrow = Callable[[int], bool]
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,6 @@ class BilateralBalance:
         self.incoming_channel: Optional[str] = None
         self.highest_signed_cumulative = 0
         self.last_seen_incoming_cumulative = 0
-        self.settlement_deferred = False
         self._lock = threading.RLock()
 
     def on_incoming_prepare(self, amount: int) -> bool:
@@ -81,50 +81,38 @@ class BilateralBalance:
             self.value -= amount
 
     def on_outgoing_fulfilled(
-        self, amount: int, channel_size: Optional[ChannelSize] = None
+        self, amount: int, escrow: Optional[Escrow] = None
     ) -> Optional[int]:
-        """Record that we now owe the peer `amount` more. If the balance
-        crossed the settle threshold, return the cumulative claim amount to
-        sign (balance is reset to settle_to); otherwise None.
+        """Record that we now owe the peer `amount` more. If the balance is
+        at or past the settle threshold, return the cumulative claim amount
+        to sign (balance is reset to settle_to); otherwise None.
 
-        `channel_size` reads the outgoing channel's escrow. It is called at
-        most once, and only when a claim is due; a claim beyond the escrow
-        defers settlement. Without it the escrow is not checked."""
+        `escrow` is called at most once, and only when a claim is due; if it
+        returns False, or there is no outgoing channel, no claim is made and
+        a later call tries again. Without it the escrow is not checked."""
         with self._lock:
             self.value -= amount
             if self.value > self.policy.settle_threshold:
                 return None
-            if self.outgoing_channel is None:
-                self.settlement_deferred = True
-                return None
-            return self._claim_to_settle_to(channel_size)
+            return self._claim_to_settle_to(escrow)
 
-    def force_settle(self, channel_size: Optional[ChannelSize] = None) -> Optional[int]:
+    def force_settle(self, escrow: Optional[Escrow] = None) -> Optional[int]:
         """Settle the full outstanding debt regardless of the threshold
         (used at teardown or on explicit request)."""
         with self._lock:
-            if self.value >= self.policy.settle_to or self.outgoing_channel is None:
+            if self.value >= self.policy.settle_to:
                 return None
-            return self._claim_to_settle_to(channel_size)
+            return self._claim_to_settle_to(escrow)
 
-    def retry_deferred_settlement(
-        self, channel_size: Optional[ChannelSize] = None
-    ) -> Optional[int]:
-        """After a channel top-up, re-run the settlement check."""
-        with self._lock:
-            if not self.settlement_deferred:
-                return None
-            return self.on_outgoing_fulfilled(0, channel_size)
-
-    def _claim_to_settle_to(self, channel_size: Optional[ChannelSize]) -> Optional[int]:
+    def _claim_to_settle_to(self, escrow: Optional[Escrow]) -> Optional[int]:
         # Caller holds the lock and has checked that a claim is due.
+        if self.outgoing_channel is None:
+            return None
         cumulative = self.highest_signed_cumulative + (self.policy.settle_to - self.value)
-        if channel_size is not None and cumulative > channel_size():
-            self.settlement_deferred = True
+        if escrow is not None and not escrow(cumulative):
             return None
         self.highest_signed_cumulative = cumulative
         self.value = self.policy.settle_to
-        self.settlement_deferred = False
         return cumulative
 
     def receive_claim(self, claim: lg.Claim, ledger: lg.Ledger) -> int:

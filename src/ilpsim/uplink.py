@@ -99,7 +99,8 @@ class UplinkNode:
         child address, and open the outgoing payment channel."""
         endpoint = link.LinkEndpoint(transport)
         self.parent.attach(
-            endpoint, ilp=peering.ilp_handler(lambda prepare: self._handle_prepare(prepare))
+            endpoint,
+            ilp=peering.ilp_handler(lambda data: self._handle_prepare(ilp.decode_packet(data))),
         )
         endpoint.authenticate(self.config.name, self.config.token, timeout=self.request_timeout)
         info = json.loads(
@@ -207,7 +208,7 @@ class UplinkNode:
 
         endpoint.handler = peering.message_handler(
             {
-                "ilp": peering.ilp_handler(lambda prepare: self.send_packet(prepare)),
+                "ilp": peering.ilp_handler(lambda data: self.send_packet(ilp.decode_packet(data))),
                 "ildcp": ildcp,
                 "listen": listen,
             }

@@ -1,21 +1,24 @@
 """Fault-free scenario reports must stay byte-identical across refactors.
 
 `tests/golden/` holds the report of each built-in spec at seeds 0 and 1, as
-`ilpsim scenario run <spec> --seed <n>` writes it. Each case runs twice:
-with in-process ledgers, and with each ledger behind `LedgerApiServer` and
-used through `RemoteLedger`, as the multi-process test-bed does. Both runs
-must match the same file. Run this module as a script to rewrite the files
-from the current code (in-process ledgers):
+`ilpsim scenario run <spec> --seed <n>` writes it. Each case runs three
+times: as written, with each ledger behind `LedgerApiServer` and used
+through `RemoteLedger`, and with each link a pair of `TcpTransport`s over a
+socket pair, as the multi-process test-bed has them. All runs must match the
+same file, so the memory run is the oracle of the other two. Run this module
+as a script to rewrite the files from the current code (in-process ledgers,
+memory links):
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
+import socket
 from pathlib import Path
 
 import pytest
 
-from ilpsim import scenario
+from ilpsim import link, scenario
 from ilpsim.ledger_http import LedgerApiServer, RemoteLedger
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -58,6 +61,29 @@ def http_ledgers(monkeypatch):
 def test_fault_free_report_with_http_ledgers_matches_golden(http_ledgers, name, seed):
     assert _report(name, seed) == _path(name, seed).read_text()
     assert http_ledgers
+
+
+@pytest.fixture
+def tcp_links(monkeypatch):
+    """Makes every link a scenario builds a pair of TcpTransports over a
+    socket pair, so its frames cross sockets and reader threads."""
+    sockets = []
+
+    def tcp_pair():
+        a, b = socket.socketpair()
+        sockets.extend((a, b))
+        return link.TcpTransport(a), link.TcpTransport(b)
+
+    monkeypatch.setattr(scenario.link, "memory_pair", tcp_pair)
+    yield sockets
+    for sock in sockets:
+        sock.close()
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_fault_free_report_over_tcp_links_matches_golden(tcp_links, name, seed):
+    assert _report(name, seed) == _path(name, seed).read_text()
+    assert tcp_links
 
 
 if __name__ == "__main__":

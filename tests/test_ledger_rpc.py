@@ -1,6 +1,8 @@
 """The ledger RPC's error answers and method whitelist, against a fake server
 that answers whatever the test tells it to."""
 
+import logging
+
 import pytest
 
 from ilpsim import admin, ledger as lg
@@ -47,7 +49,7 @@ def test_only_mirrored_ledger_methods_are_callable(method):
         server.close()
 
 
-def test_bad_arguments_answer_a_ledger_error():
+def test_bad_arguments_answer_a_ledger_error(caplog):
     ledger = lg.Ledger(lg.LedgerConfig("XRP", 6, 10**6, ledger_id="xrp"))
     server = LedgerApiServer(ledger, port=0)
     try:
@@ -59,3 +61,5 @@ def test_bad_arguments_answer_a_ledger_error():
         assert remote.total_value() == 10**6
     finally:
         server.close()
+    # A client's mistake is answered, not logged as a fault of the ledger.
+    assert not [r for r in caplog.records if r.levelno >= logging.ERROR]

@@ -155,8 +155,7 @@ def test_two_connector_run_with_settlement():
 
 
 def test_self_swap_run():
-    spec = scenario.load_builtin("self_swap")
-    report = scenario.swap_scenario(spec, "xrp_uplink", "eth_uplink", 5_000_000, seed=1)
+    report = scenario.run_scenario(scenario.load_builtin("self_swap"), seed=1)
     assert report.ok(), report.checks
     assert report.payments[0]["delivered"] == 31_000_000
 

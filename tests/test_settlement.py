@@ -73,7 +73,7 @@ def test_outgoing_settles_at_threshold(channel_setup):
     _led, chan, _priv = channel_setup
     bal = stl.BilateralBalance("peer", policy())
     bal.outgoing_channel = chan.channel_id
-    cumulative = bal.on_outgoing_fulfilled(20, channel_size=lambda: chan.amount)
+    cumulative = bal.on_outgoing_fulfilled(20, escrow=lambda c: c <= chan.amount)
     assert cumulative == 20
     assert bal.value == 0
     assert bal.highest_signed_cumulative == 20
@@ -83,7 +83,7 @@ def test_outgoing_below_threshold_no_claim(channel_setup):
     _led, chan, _priv = channel_setup
     bal = stl.BilateralBalance("peer", policy())
     bal.outgoing_channel = chan.channel_id
-    assert bal.on_outgoing_fulfilled(10, channel_size=lambda: chan.amount) is None
+    assert bal.on_outgoing_fulfilled(10, escrow=lambda c: c <= chan.amount) is None
     assert bal.value == -10
 
 
@@ -115,13 +115,14 @@ def test_channel_exhausted_defers(channel_setup):
     _led, chan, _priv = channel_setup
     bal = stl.BilateralBalance("peer", policy(maximum=10**7, threshold=-10, settle_to=0))
     bal.outgoing_channel = chan.channel_id
-    assert bal.on_outgoing_fulfilled(chan.amount + 1, channel_size=lambda: chan.amount) is None
-    assert bal.settlement_deferred
-    # top up, then the deferred settlement goes through
-    cumulative = bal.retry_deferred_settlement(channel_size=lambda: chan.amount * 2)
+    assert bal.on_outgoing_fulfilled(chan.amount + 1, escrow=lambda c: c <= chan.amount) is None
+    assert bal.value == -(chan.amount + 1)
+    assert bal.highest_signed_cumulative == 0
+    # top up, then the next call makes the deferred claim
+    cumulative = bal.on_outgoing_fulfilled(0, escrow=lambda c: c <= chan.amount * 2)
     assert cumulative == chan.amount + 1
     assert bal.value == 0
-    assert not bal.settlement_deferred
+    assert bal.highest_signed_cumulative == chan.amount + 1
 
 
 def test_receive_claim_mirrors_settlement(channel_setup):
@@ -157,7 +158,7 @@ def test_mirror_invariant_two_sides(channel_setup):
     for _ in range(4):
         amount = 5
         assert bob.on_incoming_prepare(amount)
-        cumulative = alice.on_outgoing_fulfilled(amount, channel_size=lambda: chan.amount)
+        cumulative = alice.on_outgoing_fulfilled(amount, escrow=lambda c: c <= chan.amount)
         if cumulative is not None:
             claim = lg.sign_claim(priv, chan.channel_id, cumulative)
             bob.receive_claim(claim, led)
@@ -177,17 +178,22 @@ def test_accumulation_without_settlement():
 
 
 class CountingLedger(lg.Ledger):
-    """A ledger that counts how often the channel size is read and how often
-    a claim's signature is verified."""
+    """A ledger that counts how often the channel size is read, how often a
+    channel is funded and how often a claim's signature is verified."""
 
     def __init__(self, config):
         super().__init__(config)
         self.get_channel_calls = 0
+        self.fund_channel_calls = 0
         self.verify_claim_calls = 0
 
     def get_channel(self, channel_id):
         self.get_channel_calls += 1
         return super().get_channel(channel_id)
+
+    def fund_channel(self, channel_id, additional):
+        self.fund_channel_calls += 1
+        return super().fund_channel(channel_id, additional)
 
     def verify_claim(self, claim):
         self.verify_claim_calls += 1
@@ -240,13 +246,13 @@ def test_record_fulfilled_claim_past_escrow_deferred_then_topped_up(counted_peer
     assert sent_claims(peer.endpoint) == [12]
     # 24 > escrow 15 and "me" has no funds left for a top-up: deferred
     peer.record_fulfilled(12)
-    assert peer.balance.settlement_deferred
+    assert peer.balance.value == -12
     assert peer.balance.highest_signed_cumulative == 12
     assert sent_claims(peer.endpoint) == [12]
     assert led.get_channel(channel_id).amount == 15
     led.transfer(lg.GENESIS, "me", 100)
     peer.record_fulfilled(1)
-    assert not peer.balance.settlement_deferred
+    assert peer.balance.highest_signed_cumulative == 25
     assert sent_claims(peer.endpoint) == [12, 25]
     assert led.get_channel(channel_id).amount == 25
     assert peer.balance.value == 0
@@ -259,11 +265,42 @@ def test_settle_now_without_outgoing_channel_stays_deferred():
     peer = Peer("peer", stl.BilateralBalance("peer", policy(threshold=-10)), led, "me", priv)
     peer.endpoint = RecordingEndpoint()
     peer.record_fulfilled(12)
-    assert peer.balance.settlement_deferred
+    assert peer.balance.value == -12
+    assert peer.endpoint.sent == []
     assert peer.settle_now() is None
     assert peer.balance.value == -12
-    assert peer.balance.settlement_deferred
+    assert peer.balance.highest_signed_cumulative == 0
     assert peer.endpoint.sent == []
+
+
+def test_deferred_claim_makes_no_top_up_once_no_claim_is_due():
+    """A claim deferred for want of a channel leaves nothing behind: once an
+    incoming Prepare brings the balance back above the threshold, fulfilled
+    packets read no channel and fund none until a claim is due again."""
+    priv, pub = lg.generate_keypair()
+    led = CountingLedger(lg.LedgerConfig("XRP", 6, 10**9))
+    led.create_and_fund("me", pub, 100)
+    led.create_and_fund("peer", b"", 0)
+    peer = Peer("peer", stl.BilateralBalance("peer", policy(threshold=-10)), led, "me", priv)
+    peer.peer_ledger_account = "peer"
+    peer.endpoint = RecordingEndpoint()
+    peer.record_fulfilled(12)  # a claim is due, but there is no channel yet
+    assert peer.endpoint.sent == []
+    channel_id = peer.open_outgoing_channel(2).channel_id
+    assert peer.balance.on_incoming_prepare(10)  # value -2: no claim due
+    led.get_channel_calls = led.fund_channel_calls = 0
+    for _ in range(3):
+        peer.record_fulfilled(1)
+    assert peer.balance.value == -5
+    assert (led.get_channel_calls, led.fund_channel_calls) == (0, 0)
+    assert peer.endpoint.sent == []
+    assert led.get_channel(channel_id).amount == 2
+    led.get_channel_calls = 0
+    peer.record_fulfilled(5)  # value -10: the claim is due and tops up once
+    assert (led.get_channel_calls, led.fund_channel_calls) == (1, 1)
+    assert sent_claims(peer.endpoint) == [10]
+    assert led.get_channel(channel_id).amount == 10
+    assert peer.balance.value == 0
 
 
 @pytest.fixture
