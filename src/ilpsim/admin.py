@@ -5,8 +5,9 @@ running components, the ledger RPC (`ledger_http`) and the SPSP endpoint
 Routes map (method, path) to callables that take the request body (bytes,
 empty for a GET) and return a JSON-able value, sent with status 200. A
 trailing slash on the path is ignored; an unknown route gets 404 and a
-route that raises gets 500 with {"error": message}. HTTP/1.0, one thread
-per request; queries from the CLI attach here.
+route that raises gets 500 with {"error": message}. HTTP/1.0, one request
+per connection; the server is a `link.TcpServer`, and each connection is
+served on `link`'s shared handler threads. Queries from the CLI attach here.
 
 `call_json` is the client, on `http.client`: one connection per call,
 closed after the answer, TLS for an https:// URL. There is no keep-alive:
@@ -18,17 +19,16 @@ from __future__ import annotations
 import http.client
 import json
 import logging
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import socket
+from http.server import BaseHTTPRequestHandler
 from typing import Any, Callable
 from urllib.parse import urlsplit
+
+from . import link
 
 log = logging.getLogger(__name__)
 
 Route = Callable[[bytes], Any]
-
-# How often serve_forever checks for shutdown; close() waits up to this long.
-POLL_INTERVAL = 0.05
 
 
 def _route_path(path: str) -> str:
@@ -36,7 +36,7 @@ def _route_path(path: str) -> str:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    server: "_Server"
+    server: "AdminServer"
 
     def _serve(self, method: str) -> None:
         route = self.server.routes.get((method, _route_path(self.path)))
@@ -67,12 +67,7 @@ class _Handler(BaseHTTPRequestHandler):
         log.debug("http: " + fmt, *args)
 
 
-class _Server(ThreadingHTTPServer):
-    routes: dict[tuple[str, str], Route]
-    content_type: str
-
-
-class AdminServer:
+class AdminServer(link.TcpServer):
     def __init__(
         self,
         routes: dict[tuple[str, str], Route],
@@ -80,19 +75,22 @@ class AdminServer:
         bind_address: str = "127.0.0.1",
         content_type: str = "application/json",
     ):
-        self._httpd = _Server((bind_address, port), _Handler)
-        self._httpd.routes = {(method, _route_path(path)): fn for (method, path), fn in routes.items()}
-        self._httpd.content_type = content_type
-        self.port = self._httpd.server_address[1]
-        threading.Thread(target=self._httpd.serve_forever, args=(POLL_INTERVAL,), daemon=True).start()
+        self.routes = {(method, _route_path(path)): fn for (method, path), fn in routes.items()}
+        self.content_type = content_type
+        super().__init__(bind_address, port, self._accept)
+
+    def _accept(self, conn: socket.socket, peer: tuple) -> None:
+        link._handler_threads.run(self._serve, conn, peer)  # read per call: the pool may be replaced
+
+    def _serve(self, conn: socket.socket, peer: tuple) -> None:
+        try:
+            _Handler(conn, peer, self)
+        finally:
+            link.close_socket(conn)
 
     @property
     def url(self) -> str:
         return f"http://127.0.0.1:{self.port}"
-
-    def close(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
 
 
 class HttpError(Exception):

@@ -46,7 +46,7 @@ def _load_json(path: str) -> dict:
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise click.ClickException(f"cannot read config {path}: {exc}")
+        raise click.ClickException(f"cannot read {path}: {exc}")
 
 
 def _block_forever() -> None:
@@ -297,7 +297,7 @@ def scenario_run(
     name_or_path: str, seed: int, drop_rate: float, duplicate_rate: float, out: str | None
 ) -> None:
     if name_or_path.endswith(".json"):
-        spec = scenario_mod.load_scenario(name_or_path)
+        spec = _load_json(name_or_path)
     else:
         try:
             spec = scenario_mod.load_builtin(name_or_path)

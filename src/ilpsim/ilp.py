@@ -42,8 +42,6 @@ TYPE_REJECT = 14
 MAX_ADDRESS_LEN = 1023
 MAX_DATA_LEN = 32767
 
-ADDRESS_SCHEMES = frozenset({"g", "private", "example", "peer", "self", "test", "local"})
-
 _ADDRESS_RE = re.compile(r"[A-Za-z0-9_~-]+(?:\.[A-Za-z0-9_~-]+)*")
 _ERROR_CODE_RE = re.compile(r"[FTR][0-9][0-9]")
 

@@ -6,8 +6,9 @@ the sender's thread, for simulation and tests; and 4-byte length-prefixed
 framing over TCP, read by one thread per endpoint, for multi-process runs.
 A TCP endpoint's reader only reads: it hands each inbound Message to a set
 of handler threads shared by the whole process, which start as needed and
-are reused. A fault-injecting wrapper can drop or duplicate frames at this
-boundary.
+are reused, and also serve `admin`'s HTTP connections. Every listening
+socket, BTP or HTTP, is a `TcpServer` with one accept thread. A
+fault-injecting wrapper can drop or duplicate frames at this boundary.
 
 A memory request's answer arrives inside `send`, or never: `send` reports
 that the frame was settled inline, and the request reads its answer at
@@ -230,11 +231,17 @@ class TcpTransport:
     def close(self) -> None:
         if not self._closed:
             self._closed = True
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._sock.close()
+            close_socket(self._sock)
+
+
+def close_socket(sock: socket.socket) -> None:
+    """Shut the socket down, so that a blocked accept or recv on it returns
+    and a peer reads the end at once, and close it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # not connected
+        pass
+    sock.close()
 
 
 @dataclass
@@ -282,15 +289,15 @@ class FaultyTransport:
 
 
 class _HandlerThreads:
-    """Daemon threads that run inbound TCP Messages' handlers, shared by
-    every endpoint in the process.
+    """Daemon threads shared by the whole process, that run the handlers of
+    inbound TCP Messages and serve HTTP connections (`admin.AdminServer`).
 
-    A Message goes to an idle thread; a new thread starts only when none is
+    A job goes to an idle thread; a new thread starts only when none is
     idle, and threads never exit. Their number is not capped, so it grows to
-    the peak number of Messages handled at once: a forwarding handler waits
-    for an answer whose Message needs a thread of its own (in one process,
-    a connector's handler waits on the receiving node's), and with a cap
-    every thread could be waiting on Messages that none is free to run.
+    the peak number of jobs run at once: a forwarding handler waits for an
+    answer whose Message, or ledger RPC, needs a thread of its own (in one
+    process, a connector's handler waits on the receiving node's), and with
+    a cap every thread could be waiting on jobs that none is free to run.
     """
 
     def __init__(self) -> None:
@@ -298,23 +305,23 @@ class _HandlerThreads:
         self._lock = threading.Lock()
         self._idle = 0  # threads free to take a job, less the jobs queued
 
-    def run(self, handle: Callable[[btp.BtpFrame], None], frame: btp.BtpFrame) -> None:
+    def run(self, job: Callable[..., None], *args) -> None:
         with self._lock:
             start = self._idle == 0
             if not start:
                 self._idle -= 1
-        self._jobs.put((handle, frame))
+        self._jobs.put((job, args))
         if start:
-            threading.Thread(target=self._work, name="btp-handler", daemon=True).start()
+            threading.Thread(target=self._work, name="handler", daemon=True).start()
 
     def _work(self) -> None:
         while True:
-            handle, frame = self._jobs.get()
+            job, args = self._jobs.get()
             try:
-                handle(frame)
+                job(*args)
             except Exception:
-                log.exception("message handling failed")
-            del handle, frame  # an idle thread keeps no endpoint alive
+                log.exception("handler failed")
+            del job, args  # an idle thread keeps no endpoint alive
             with self._lock:
                 self._idle += 1
 
@@ -595,28 +602,31 @@ def _error_frame(request_id: int, code: str, message: str) -> btp.BtpFrame:
     )
 
 
-class TcpListener:
+class TcpServer:
+    """Listens on host:port and passes each accepted connection, with its
+    peer address, to `serve`, on one accept thread. `close` stops listening
+    at once: the blocked accept returns and later connections are refused."""
+
+    def __init__(self, host: str, port: int, serve: Callable[[socket.socket, tuple], None]):
+        self._sock = socket.create_server((host, port))
+        self.port = self._sock.getsockname()[1]
+        threading.Thread(target=self._accept_loop, args=(serve,), daemon=True).start()
+
+    def _accept_loop(self, serve: Callable[[socket.socket, tuple], None]) -> None:
+        while True:
+            try:
+                conn, peer = self._sock.accept()
+            except OSError:  # closed
+                return
+            serve(conn, peer)
+
+    def close(self) -> None:
+        close_socket(self._sock)
+
+
+class TcpListener(TcpServer):
     """Accepts TCP connections as BTP endpoints that authenticate through
     `accept` (see LinkEndpoint)."""
 
     def __init__(self, port: int, accept: AcceptCallback, host: str = "127.0.0.1"):
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen()
-        self.port = self._sock.getsockname()[1]
-        self._accept = accept
-        self._closed = False
-        threading.Thread(target=self._accept_loop, daemon=True).start()
-
-    def _accept_loop(self) -> None:
-        while not self._closed:
-            try:
-                conn, _ = self._sock.accept()
-            except OSError:
-                break
-            LinkEndpoint(TcpTransport(conn), accept=self._accept)
-
-    def close(self) -> None:
-        self._closed = True
-        self._sock.close()
+        super().__init__(host, port, lambda conn, _peer: LinkEndpoint(TcpTransport(conn), accept=accept))

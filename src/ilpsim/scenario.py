@@ -17,7 +17,6 @@ import json
 import zlib
 from importlib import resources
 from dataclasses import dataclass, field
-from pathlib import Path
 from random import Random
 from typing import Optional
 
@@ -88,7 +87,6 @@ class Topology:
         self.nodes: dict[str, uplink.UplinkNode] = {}
         self.servers: dict[str, stream.StreamServer] = {}
         self._fault_wrappers: list[link.FaultyTransport] = []
-        self._worth_before: Optional[dict] = None
         merged = {**DEFAULT_TIMEOUTS, **spec.get("timeouts", {}), **(timeouts or {})}
         self.packet_timeout = float(merged["packet_timeout"])
         self.forward_timeout = float(merged["forward_timeout"])
@@ -264,9 +262,7 @@ def run_scenario(
 ) -> ScenarioReport:
     topology = Topology(spec, seed, faults=faults, timeouts=timeouts)
     report = ScenarioReport(name=spec.get("name", "unnamed"), seed=seed)
-    neutrality = bool(spec.get("neutrality_check"))
-    if neutrality:
-        topology._worth_before = topology.worth()
+    worth_before = topology.worth() if spec.get("neutrality_check") else None
     topology.arm_faults()
     try:
         for action in spec.get("actions", []):
@@ -279,12 +275,10 @@ def run_scenario(
     }
     report.checks["atomicity"] = topology.atomicity_check()
     report.checks["settlement_locality"] = topology.settlement_locality_check()
-    if neutrality:
+    if worth_before is not None:
         after = topology.worth()
-        report.checks["connector_neutrality"] = all(
-            after[name] >= topology._worth_before[name] for name in after
-        )
-        report.checks["connector_neutrality_exact"] = after == topology._worth_before
+        report.checks["connector_neutrality"] = all(after[name] >= worth_before[name] for name in after)
+        report.checks["connector_neutrality_exact"] = after == worth_before
     report.events = topology.events.to_json()
     topology.close()
     return report
@@ -349,11 +343,6 @@ def _run_pay(topology: Topology, action: dict, report: ScenarioReport) -> None:
             raise ScenarioAssertFailed("pay", str(exc)) from exc
     entry["delivered"] = payee_server.total_received - before
     report.payments.append(entry)
-
-
-def load_scenario(path: str | Path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
 
 
 def builtin_scenario_names() -> list[str]:

@@ -100,8 +100,7 @@ class SpspServer(AdminServer):
 
     @property
     def url(self) -> str:
-        host, _port = self._httpd.server_address[:2]
-        return f"http://{host}:{self.port}{self.path}"
+        return super().url + self.path
 
 
 def serve(uplink: UplinkNode, port: int = 0, path: str = WELL_KNOWN_PATH) -> SpspServer:

@@ -1,10 +1,13 @@
-"""The one JSON-over-HTTP server and the two servers built on it: the
-ledger RPC and the SPSP endpoint."""
+"""The one JSON-over-HTTP server, the TCP server it shares with BTP
+listeners, and the two servers built on it: the ledger RPC and the SPSP
+endpoint."""
 
 import json
 import os
+import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -12,10 +15,11 @@ import requests
 
 import ilpsim
 
-from ilpsim import admin, ledger as lg, stream
+from ilpsim import admin, ledger as lg, link, stream
 from ilpsim.ilp import parse_address
 from ilpsim.ledger_http import LedgerApiServer
 from ilpsim.spsp import SpspServer
+from test_scenario import recording_thread_starts
 
 
 def fail(_body):
@@ -106,6 +110,56 @@ def test_close_is_quick():
     started = time.monotonic()
     s.close()
     assert time.monotonic() - started < 0.25
+
+
+def used_admin_server():
+    server = admin.AdminServer({("GET", "/info"): lambda _body: {}})
+    admin.call_json("GET", server.url + "/info")
+    return server
+
+
+def used_tcp_listener():
+    listener = link.TcpListener(0, lambda *args: True)
+    client = link.LinkEndpoint(link.TcpTransport.connect("127.0.0.1", listener.port))
+    client.authenticate("alice", "tok")
+    client.close()
+    return listener
+
+
+@pytest.mark.parametrize("make", [used_admin_server, used_tcp_listener], ids=["http", "btp"])
+def test_closed_server_refuses_connections(make):
+    """Once a server has accepted a connection, its accept thread is back
+    in accept when it closes; the port must stop listening all the same."""
+    server = make()
+    server.close()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", server.port), timeout=2).close()
+
+
+def test_requests_run_on_the_shared_handler_threads(monkeypatch):
+    monkeypatch.setattr(link, "_handler_threads", link._HandlerThreads())
+    meet = threading.Barrier(2, timeout=5)
+    s = admin.AdminServer(
+        {("GET", "/info"): lambda _body: {}, ("GET", "/meet"): lambda _body: meet.wait()}
+    )
+    try:
+        # Warm up two handler threads: a thread counts as idle only after it
+        # has closed its connection, so the next request may come first.
+        callers = [
+            threading.Thread(target=admin.call_json, args=("GET", s.url + "/meet")) for _ in range(2)
+        ]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in callers)
+        with monkeypatch.context() as patch:
+            started = recording_thread_starts(patch)
+            for _ in range(20):
+                assert admin.call_json("GET", s.url + "/info") == {}
+        assert started == []
+    finally:
+        s.close()
 
 
 def test_call_json_round_trip(server):

@@ -62,6 +62,17 @@ def test_scenario_run_unknown_name(runner):
     assert "nope" in result.output
 
 
+@pytest.mark.parametrize("content", [None, "not json"], ids=["missing", "not_json"])
+def test_scenario_run_unreadable_spec_file(runner, tmp_path, content):
+    path = tmp_path / "spec.json"
+    if content is not None:
+        path.write_text(content)
+    result = runner.invoke(main, ["scenario", "run", str(path)])
+    assert result.exit_code == 1
+    assert f"cannot read {path}" in result.output
+    assert isinstance(result.exception, SystemExit)  # a message, not a traceback
+
+
 def test_inspect_capture_file(runner, tmp_path):
     hex_text = (resources.files("ilpsim") / "captures" / "btp_prepare.hex").read_text()
     path = tmp_path / "frame.hex"

@@ -1,13 +1,13 @@
 """Fault-free scenario reports must stay byte-identical across refactors.
 
 `tests/golden/` holds the report of each built-in spec at seeds 0 and 1, as
-`ilpsim scenario run <spec> --seed <n>` writes it. Each case runs three
+`ilpsim scenario run <spec> --seed <n>` writes it. Each case runs four
 times: as written, with each ledger behind `LedgerApiServer` and used
-through `RemoteLedger`, and with each link a pair of `TcpTransport`s over a
-socket pair, as the multi-process test-bed has them. All runs must match the
-same file, so the memory run is the oracle of the other two. Run this module
-as a script to rewrite the files from the current code (in-process ledgers,
-memory links):
+through `RemoteLedger`, with each link a pair of `TcpTransport`s over a
+socket pair, and with both, as the multi-process test-bed has them. All runs
+must match the same file, so the memory run is the oracle of the other
+three. Run this module as a script to rewrite the files from the current
+code (in-process ledgers, memory links):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -84,6 +84,16 @@ def tcp_links(monkeypatch):
 def test_fault_free_report_over_tcp_links_matches_golden(tcp_links, name, seed):
     assert _report(name, seed) == _path(name, seed).read_text()
     assert tcp_links
+
+
+@pytest.mark.parametrize("name,seed", CASES)
+def test_fault_free_report_over_tcp_links_with_http_ledgers_matches_golden(
+    tcp_links, http_ledgers, name, seed
+):
+    """Connector BTP handlers call RemoteLedger, and the ledgers' HTTP
+    connections run on the same shared handler threads."""
+    assert _report(name, seed) == _path(name, seed).read_text()
+    assert tcp_links and http_ledgers
 
 
 if __name__ == "__main__":
