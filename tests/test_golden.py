@@ -1,4 +1,4 @@
-"""Fault-free scenario reports must stay byte-identical across refactors.
+"""Scenario reports must stay byte-identical across refactors.
 
 `tests/golden/` holds the report of each built-in spec at seeds 0 and 1, as
 `ilpsim scenario run <spec> --seed <n>` writes it. Each case runs four
@@ -6,7 +6,14 @@ times: as written, with each ledger behind `LedgerApiServer` and used
 through `RemoteLedger`, with each link a pair of `TcpTransport`s over a
 socket pair, and with both, as the multi-process test-bed has them. All runs
 must match the same file, so the memory run is the oracle of the other
-three. Run this module as a script to rewrite the files from the current
+three.
+
+`tests/golden/faulty/` holds the same specs and seeds under each fault plan
+in FAULTS, with the acceptance sweep's short timeouts. A faulty memory run
+repeats exactly, so these are checked in the memory column only: over TCP a
+dropped frame races a real timeout.
+
+Run this module as a script to rewrite both sets of files from the current
 code (in-process ledgers, memory links):
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,24 +27,40 @@ import pytest
 
 from ilpsim import link, scenario
 from ilpsim.ledger_http import LedgerApiServer, RemoteLedger
+from test_acceptance import FAULT_TIMEOUTS
 
 GOLDEN = Path(__file__).parent / "golden"
 SEEDS = (0, 1)
 CASES = [(name, seed) for name in scenario.builtin_scenario_names() for seed in SEEDS]
+FAULTS = {
+    "drop0.1_dup0.05": {"drop_rate": 0.1, "duplicate_rate": 0.05},
+    "drop0.5": {"drop_rate": 0.5},
+}
+FAULTY_CASES = [(name, seed, plan) for name, seed in CASES for plan in FAULTS]
 
 
-def _path(name: str, seed: int) -> Path:
+def _path(name: str, seed: int, plan: str = "") -> Path:
+    if plan:
+        return GOLDEN / "faulty" / f"{name}_seed{seed}_{plan}.json"
     return GOLDEN / f"{name}_seed{seed}.json"
 
 
-def _report(name: str, seed: int) -> str:
-    report = scenario.run_scenario(scenario.load_builtin(name), seed=seed)
+def _report(name: str, seed: int, plan: str = "") -> str:
+    faults = FAULTS[plan] if plan else None
+    timeouts = FAULT_TIMEOUTS if plan else None
+    spec = scenario.load_builtin(name)
+    report = scenario.run_scenario(spec, seed=seed, faults=faults, timeouts=timeouts)
     return json.dumps(report.to_json(), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("name,seed", CASES)
 def test_fault_free_report_matches_golden(name, seed):
     assert _report(name, seed) == _path(name, seed).read_text()
+
+
+@pytest.mark.parametrize("name,seed,plan", FAULTY_CASES)
+def test_faulty_report_matches_golden(name, seed, plan):
+    assert _report(name, seed, plan) == _path(name, seed, plan).read_text()
 
 
 @pytest.fixture
@@ -97,7 +120,7 @@ def test_fault_free_report_over_tcp_links_with_http_ledgers_matches_golden(
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
-    for name, seed in CASES:
-        _path(name, seed).write_text(_report(name, seed))
-        print(_path(name, seed))
+    (GOLDEN / "faulty").mkdir(parents=True, exist_ok=True)
+    for case in CASES + FAULTY_CASES:
+        _path(*case).write_text(_report(*case))
+        print(_path(*case))
