@@ -10,10 +10,10 @@ are reused, and also serve `admin`'s HTTP connections. Every listening
 socket, BTP or HTTP, is a `TcpServer` with one accept thread. A
 fault-injecting wrapper can drop or duplicate frames at this boundary.
 
-A memory request's answer arrives inside `send`, or never: `send` reports
-that the frame was settled inline, and the request reads its answer at
-once, with no Event and no wait. A TCP request, or a memory frame held for
-a half with no endpoint yet, waits on an Event for its answer.
+A memory transport is `inline`: a request's answer arrives inside `send`,
+or never, so the request reads it at once, with no Event and no wait. A
+frame sent to a memory half that has no endpoint is lost, as a dropped
+frame is. A TCP request waits on an Event for its answer.
 
 Every link opens with the BTP auth handshake (RFC 0023): the dialing side
 calls `LinkEndpoint.authenticate`; the accepting endpoint authenticates the
@@ -84,76 +84,44 @@ class BtpErrorResponse(Exception):
 #
 # A transport carries whole frames in order and delivers them to the
 # LinkEndpoint attached to it: `attach(endpoint)`, `send(data)`, `close()`.
-# `send` returns whether it settled the frame inline: handled it on the
-# calling thread, so that any answer has come back before `send` returns.
-# `inline` tells whether a frame sent now would be.
+# `inline` tells whether `send` handles the frame on the calling thread, so
+# that any answer has come back before `send` returns.
 
 
 class MemoryTransport:
     """One half of an in-process link (see memory_pair).
 
     `send` delivers a frame by calling the other half's endpoint on the
-    sender's thread; nothing is queued and no thread is started. Frames sent
-    before the other half has an endpoint are held for it, and are handed
-    over in order when one attaches, or read with `recv` if none does.
-    Closing either half closes both and fails the pending requests of both
-    endpoints at once.
+    sender's thread; nothing is queued and no thread is started. A frame
+    sent to a half with no endpoint is lost. Closing either half closes both
+    and fails the pending requests of both endpoints at once.
     """
 
-    def __init__(self, state: threading.Condition):
-        self._state = state  # shared by both halves
+    inline = True
+
+    def __init__(self, lock: threading.Lock):
+        self._lock = lock  # shared by both halves
         self.peer: Optional[MemoryTransport] = None
         self._endpoint: Optional[LinkEndpoint] = None
-        self._held: list[bytes] = []
         self._closed = False
 
-    @property
-    def inline(self) -> bool:
-        return self.peer._endpoint is not None
-
     def attach(self, endpoint: "LinkEndpoint") -> None:
-        while True:
-            with self._state:
-                held, self._held = self._held, []
-                if not held:
-                    if self._closed:
-                        break
-                    self._endpoint = endpoint
-                    return
-            for data in held:
-                endpoint._receive(data)
+        with self._lock:
+            if not self._closed:
+                self._endpoint = endpoint
+                return
         endpoint._shut(LinkClosed("link closed"))
 
-    def send(self, data: bytes) -> bool:
-        """Hand the frame to the other half's endpoint and return True once
-        it is handled, or hold it for an endpoint yet to attach and return
-        False."""
-        peer = self.peer
-        with self._state:
+    def send(self, data: bytes) -> None:
+        with self._lock:
             if self._closed:
                 raise LinkClosed("transport closed")
-            endpoint = peer._endpoint
-            if endpoint is None:
-                peer._held.append(data)
-                self._state.notify_all()
-                return False
-        endpoint._receive(data)
-        return True
-
-    def recv(self, deadline: Optional[float] = None) -> Optional[bytes]:
-        """The next frame held for this half, waiting for one until
-        `deadline` (a time.monotonic() value); None once the link is closed
-        and nothing is held, or at the deadline."""
-        with self._state:
-            while not self._held:
-                wait = None if deadline is None else deadline - time.monotonic()
-                if self._closed or (wait is not None and wait <= 0):
-                    return None
-                self._state.wait(wait)
-            return self._held.pop(0)
+            endpoint = self.peer._endpoint
+        if endpoint is not None:
+            endpoint._receive(data)
 
     def close(self) -> None:
-        with self._state:
+        with self._lock:
             if self._closed:
                 return
             halves = (self, self.peer)
@@ -161,22 +129,21 @@ class MemoryTransport:
             for half in halves:
                 half._closed = True
                 half._endpoint = None
-            self._state.notify_all()
         for endpoint in endpoints:
             if endpoint is not None:
                 endpoint._shut(LinkClosed("link closed"))
 
 
 def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
-    state = threading.Condition()
-    a, b = MemoryTransport(state), MemoryTransport(state)
+    lock = threading.Lock()
+    a, b = MemoryTransport(lock), MemoryTransport(lock)
     a.peer, b.peer = b, a
     return a, b
 
 
 class TcpTransport:
     """Length-prefixed message framing over a TCP socket. Answers come on
-    the endpoint's reader thread, so no frame is settled inline."""
+    the endpoint's reader thread."""
 
     inline = False
 
@@ -195,13 +162,12 @@ class TcpTransport:
         """Start the endpoint's reader thread on this socket."""
         threading.Thread(target=endpoint._read_loop, daemon=True).start()
 
-    def send(self, data: bytes) -> bool:
+    def send(self, data: bytes) -> None:
         with self._send_lock:
             try:
                 self._sock.sendall(struct.pack(">I", len(data)) + data)
             except OSError as exc:
                 raise LinkClosed(str(exc)) from exc
-        return False
 
     def _recv_exact(self, n: int, deadline: Optional[float]) -> Optional[bytes]:
         buf = b""
@@ -258,25 +224,21 @@ class FaultyTransport:
 
     def __init__(self, inner, plan: FaultPlan, armed: bool = True):
         self._inner = inner
+        self.inline = inner.inline
         self._plan = plan
         self._rng = random.Random(plan.seed)
         self.armed = armed
         self.dropped = 0
         self.duplicated = 0
 
-    def send(self, data: bytes) -> bool:
-        """Send as the plan says. A frame dropped on a link that settles
-        frames inline counts as settled: no answer to it can come."""
-        if not self.armed:
-            return self._inner.send(data)
-        if self._rng.random() < self._plan.drop_rate:
+    def send(self, data: bytes) -> None:
+        if self.armed and self._rng.random() < self._plan.drop_rate:
             self.dropped += 1
-            return self._inner.inline
-        settled = self._inner.send(data)
-        if self._rng.random() < self._plan.duplicate_rate:
+            return
+        self._inner.send(data)
+        if self.armed and self._rng.random() < self._plan.duplicate_rate:
             self.duplicated += 1
             self._inner.send(data)
-        return settled
 
     def attach(self, endpoint: "LinkEndpoint") -> None:
         self._inner.attach(endpoint)
@@ -417,26 +379,23 @@ class LinkEndpoint:
     def request(
         self, entries: list[btp.ProtocolEntry], timeout: float = 5.0
     ) -> tuple[btp.ProtocolEntry, ...]:
-        """Send a Message and return its answer's entries. If the transport
-        settled the frame inline (a memory link whose other half has an
-        endpoint), the answer is in by the time `send` returns, or none will
-        come and the request times out at once. Otherwise (TCP, or a memory
-        frame held for an endpoint yet to attach) it waits up to `timeout`
-        on an Event."""
+        """Send a Message and return its answer's entries. On an inline
+        transport (memory) the answer is in by the time `send` returns, or
+        none will come and the request times out at once. Otherwise (TCP) it
+        waits up to `timeout` on an Event."""
         if self._closed.is_set():
             raise LinkClosed("endpoint closed")
         rid = self._allocate_id()
-        slot = {"answered": False, "result": None, "error": None, "event": None}
+        inline = self.transport.inline
+        event = None if inline else threading.Event()
+        slot = {"answered": False, "result": None, "error": None, "event": event}
         with self._pending_lock:
             self._pending[rid] = slot
         try:
             frame = btp.BtpFrame(btp.TYPE_MESSAGE, rid, tuple(entries))
-            if not self.transport.send(btp.encode_frame(frame)):
-                with self._pending_lock:  # the answer may already be in
-                    event = None if slot["answered"] else threading.Event()
-                    slot["event"] = event
-                if event is not None:
-                    event.wait(timeout)
+            self.transport.send(btp.encode_frame(frame))
+            if not inline:
+                event.wait(timeout)
             if not slot["answered"]:
                 raise Timeout(f"no response to request {rid} within {timeout}s")
             if slot["error"] is not None:
@@ -463,13 +422,14 @@ class LinkEndpoint:
         endpoint's first frame is AUTH_TIMEOUT late."""
         deadline = None if self._accept is None else time.monotonic() + AUTH_TIMEOUT
         while (data := self.transport.recv(None if self.authenticated else deadline)) is not None:
-            self._receive(data, threaded=True)
+            self._receive(data)
         self.close()
 
-    def _receive(self, data: bytes, threaded: bool = False) -> None:
+    def _receive(self, data: bytes) -> None:
         """Handle one inbound frame. An accepting endpoint's first frame must
-        authenticate, or the link is closed. A Message's handler runs on a
-        shared handler thread if `threaded`, else on the calling one."""
+        authenticate, or the link is closed. A Message's handler runs on the
+        calling thread if the transport is inline, else on a shared handler
+        thread."""
         try:
             frame = btp.decode_frame(data)
         except Exception:
@@ -486,10 +446,10 @@ class LinkEndpoint:
         elif frame.frame_type != btp.TYPE_MESSAGE:
             self._dispatch_response(frame)
         elif self._first_delivery(frame.request_id):
-            if threaded:
-                _handler_threads.run(self._handle_message, frame)
-            else:
+            if self.transport.inline:
                 self._handle_message(frame)
+            else:
+                _handler_threads.run(self._handle_message, frame)
 
     def _first_delivery(self, request_id: int) -> bool:
         """Whether a Message with this id is new: a duplicate delivery is
