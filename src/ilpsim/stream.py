@@ -9,10 +9,8 @@ received packet. Only the data field is covered: connectors legitimately
 rewrite amount (currency conversion) and expiry (per-hop decrement) in
 flight, while the data rides through untouched.
 
-The data field carries a minimal versioned frame
-    version(1) || sequence(4 BE) || flags(1) || payload
-with the payload XOR-encrypted by a keystream derived from
-HMAC(secret, "enc" || sequence || counter).
+The data field is version(1) || sequence(4 BE) || 0x00, so each packet's
+condition differs.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ import threading
 from dataclasses import dataclass
 from datetime import timedelta
 from random import Random
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 from . import ilp
 from .clock import SimClock
@@ -64,43 +62,9 @@ def packet_condition(secret: bytes, packet_contents: bytes) -> tuple[bytes, byte
     return fulfillment, ilp.condition_from_fulfillment(fulfillment)
 
 
-def _keystream(secret: bytes, sequence: int, length: int) -> bytes:
-    out = b""
-    counter = 0
-    while len(out) < length:
-        out += hmac.new(
-            secret, b"enc" + sequence.to_bytes(4, "big") + counter.to_bytes(4, "big"),
-            hashlib.sha256,
-        ).digest()
-        counter += 1
-    return out[:length]
-
-
-class StreamFrame(NamedTuple):
-    sequence: int
-    flags: int = 0
-    payload: bytes = b""
-
-
-def encode_frame(frame: StreamFrame, secret: bytes) -> bytes:
-    cipher = bytes(
-        a ^ b for a, b in zip(frame.payload, _keystream(secret, frame.sequence, len(frame.payload)))
-    )
-    return (
-        bytes([FRAME_VERSION])
-        + frame.sequence.to_bytes(4, "big")
-        + bytes([frame.flags])
-        + cipher
-    )
-
-
-def decode_frame(data: bytes, secret: bytes) -> StreamFrame:
-    if len(data) < 6 or data[0] != FRAME_VERSION:
-        raise ValueError("bad stream frame")
-    sequence = int.from_bytes(data[1:5], "big")
-    cipher = data[6:]
-    payload = bytes(a ^ b for a, b in zip(cipher, _keystream(secret, sequence, len(cipher))))
-    return StreamFrame(sequence=sequence, flags=data[5], payload=payload)
+def packet_data(sequence: int) -> bytes:
+    """The data field of the packet numbered `sequence`."""
+    return bytes([FRAME_VERSION]) + sequence.to_bytes(4, "big") + b"\x00"
 
 
 class StreamServer:
@@ -281,7 +245,7 @@ class StreamSender:
     def _send_one(self, amount: int) -> ilp.FulfillPacket | ilp.RejectPacket:
         sequence = self._sequence
         self._sequence += 1
-        data = encode_frame(StreamFrame(sequence=sequence), self.credentials.shared_secret)
+        data = packet_data(sequence)
         expires_at = self.clock.now() + timedelta(seconds=self.packet_lifetime)
         _fulfillment, condition = packet_condition(self.credentials.shared_secret, data)
         prepare = ilp.PreparePacket(

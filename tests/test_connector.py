@@ -76,7 +76,7 @@ SECRET = bytes(range(32))
 
 
 def prepare_for(clock, amount, dest="g.conn1.bob.bob.x", lifetime=30, data=b""):
-    data = data or stream.encode_frame(stream.StreamFrame(sequence=0), SECRET)
+    data = data or stream.packet_data(0)
     _, condition = stream.packet_condition(SECRET, data)
     return ilp.PreparePacket(
         destination=ilp.parse_address(dest),
