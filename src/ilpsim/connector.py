@@ -313,7 +313,7 @@ class Connector:
                 self.name, "reject_relayed", condition=condition, code=response.code
             )
             return response
-        fulfill, fulfillment = response
+        fulfill, fulfillment, _data = response
         if not ilp.verify_fulfillment(fulfillment, condition_b):
             from_peer.balance.rollback_incoming(amount)
             self.events.emit(self.name, "fulfill_relayed", condition=condition, verified=False)

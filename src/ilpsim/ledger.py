@@ -266,13 +266,15 @@ class Ledger:
             return delta
 
     def close_channel(self, channel_id: str, initiator: str) -> PaymentChannel:
-        """Payee or cooperative close is immediate; payer-initiated close
-        waits out settle_delay (via finalize_closing) so the payee can still
-        redeem outstanding claims."""
+        """Payee close is immediate; payer-initiated close waits out
+        settle_delay (via finalize_closing) so the payee can still redeem
+        outstanding claims. Nobody else may close the channel."""
         with self._lock:
             channel = self._get_channel(channel_id)
             if channel.state == CLOSED:
                 raise AlreadyClosed(channel_id)
+            if initiator not in (channel.account, channel.destination):
+                raise LedgerError(f"{initiator} is neither payer nor payee of {channel_id}")
             if initiator == channel.account:
                 if channel.state == CLOSING:
                     # re-close by the payer cannot shortcut the delay window
@@ -284,7 +286,7 @@ class Ledger:
                     seconds=channel.settle_delay
                 )
                 return channel
-            # payee-initiated or cooperative: finalize now
+            # payee-initiated: finalize now
             return self._finalize(channel)
 
     def finalize_closing(self, channel_id: str) -> PaymentChannel:

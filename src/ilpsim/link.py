@@ -11,9 +11,12 @@ socket, BTP or HTTP, is a `TcpServer` with one accept thread. A
 fault-injecting wrapper can drop or duplicate frames at this boundary.
 
 A memory transport is `inline`: a request's answer arrives inside `send`,
-or never, so the request reads it at once, with no Event and no wait. A
-frame sent to a memory half that has no endpoint is lost, as a dropped
-frame is. A TCP request waits on an Event for its answer.
+or never, so the request reads it at once; a frame sent to a memory half
+with no endpoint is lost, as a dropped frame is. A TCP request waits on an
+Event. One lock per endpoint guards its request ids, its outstanding
+requests (each a slot [Event or None, answer: the reply's entries or the
+exception to raise]) and the ids of the Messages it has handled. Closing
+fails every unanswered slot under that lock and keeps an answer already in.
 
 Every link opens with the BTP auth handshake (RFC 0023): the dialing side
 calls `LinkEndpoint.authenticate`; the accepting endpoint authenticates the
@@ -121,17 +124,16 @@ class MemoryTransport:
             endpoint._receive(data)
 
     def close(self) -> None:
+        # Shut the endpoints under the lock: a reply that finds the link
+        # closed then finds its request already failed, not unanswered.
         with self._lock:
             if self._closed:
                 return
-            halves = (self, self.peer)
-            endpoints = [half._endpoint for half in halves]
-            for half in halves:
+            for half in (self, self.peer):
                 half._closed = True
+                if half._endpoint is not None:
+                    half._endpoint._shut(LinkClosed("link closed"))
                 half._endpoint = None
-        for endpoint in endpoints:
-            if endpoint is not None:
-                endpoint._shut(LinkClosed("link closed"))
 
 
 def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
@@ -359,22 +361,14 @@ class LinkEndpoint:
         self.handler = handler
         self.authenticated = authenticated
         self._accept = accept
+        self._lock = threading.Lock()  # guards the four fields below
         self._next_id = 1
-        self._id_lock = threading.Lock()
-        self._pending: dict[int, dict] = {}
-        self._pending_lock = threading.Lock()
+        self._pending: dict[int, list] = {}  # request id -> [Event or None, answer]
         self._seen_message_ids: OrderedDict[int, None] = OrderedDict()
-        self._seen_lock = threading.Lock()
-        self._closed = threading.Event()
+        self.closed = threading.Event()
         transport.attach(self)
 
     # -- outbound
-
-    def _allocate_id(self) -> int:
-        with self._id_lock:
-            rid = self._next_id
-            self._next_id = (self._next_id + 1) % 2**32 or 1
-            return rid
 
     def request(
         self, entries: list[btp.ProtocolEntry], timeout: float = 5.0
@@ -383,27 +377,28 @@ class LinkEndpoint:
         transport (memory) the answer is in by the time `send` returns, or
         none will come and the request times out at once. Otherwise (TCP) it
         waits up to `timeout` on an Event."""
-        if self._closed.is_set():
-            raise LinkClosed("endpoint closed")
-        rid = self._allocate_id()
         inline = self.transport.inline
-        event = None if inline else threading.Event()
-        slot = {"answered": False, "result": None, "error": None, "event": event}
-        with self._pending_lock:
+        slot = [None if inline else threading.Event(), None]
+        with self._lock:
+            if self.closed.is_set():
+                raise LinkClosed("endpoint closed")
+            rid = self._next_id
+            self._next_id = rid % (2**32 - 1) + 1  # ids run 1 .. 2**32-1, then wrap
             self._pending[rid] = slot
         try:
             frame = btp.BtpFrame(btp.TYPE_MESSAGE, rid, tuple(entries))
             self.transport.send(btp.encode_frame(frame))
             if not inline:
-                event.wait(timeout)
-            if not slot["answered"]:
-                raise Timeout(f"no response to request {rid} within {timeout}s")
-            if slot["error"] is not None:
-                raise slot["error"]
-            return slot["result"]
+                slot[0].wait(timeout)
         finally:
-            with self._pending_lock:
-                self._pending.pop(rid, None)
+            with self._lock:
+                del self._pending[rid]
+        answer = slot[1]
+        if answer is None:
+            raise Timeout(f"no response to request {rid} within {timeout}s")
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
 
     def authenticate(self, name: str, token: str, timeout: float = 5.0) -> None:
         """Client-side auth handshake: first Message carries name||0x00||token."""
@@ -454,7 +449,7 @@ class LinkEndpoint:
     def _first_delivery(self, request_id: int) -> bool:
         """Whether a Message with this id is new: a duplicate delivery is
         dropped, even when both copies arrive at once on different threads."""
-        with self._seen_lock:
+        with self._lock:
             if request_id in self._seen_message_ids:
                 return False
             self._seen_message_ids[request_id] = None
@@ -470,18 +465,16 @@ class LinkEndpoint:
                     code = e.data.decode("utf-8", "replace")
                 elif e.name == "message":
                     message = e.data.decode("utf-8", "replace")
-            field, value = "error", PeerError(code, message)
+            answer = PeerError(code, message)
         else:
-            field, value = "result", frame.entries
-        with self._pending_lock:
+            answer = frame.entries
+        with self._lock:
             slot = self._pending.get(frame.request_id)
-            if slot is None or slot["answered"]:
+            if slot is None or slot[1] is not None:
                 return  # late or duplicate response
-            slot[field] = value
-            slot["answered"] = True
-            event = slot["event"]
-        if event is not None:
-            event.set()
+            slot[1] = answer
+        if slot[0] is not None:
+            slot[0].set()
 
     def _handle_message(self, frame: btp.BtpFrame) -> None:
         rid = frame.request_id
@@ -526,25 +519,18 @@ class LinkEndpoint:
         self.authenticated = True
         return []
 
-    def _fail_all(self, error: Exception) -> None:
-        events = []
-        with self._pending_lock:
-            for slot in self._pending.values():
-                if not slot["answered"]:  # keep an answer already delivered
-                    slot["error"] = error
-                    slot["answered"] = True
-                    if slot["event"] is not None:
-                        events.append(slot["event"])
-        for event in events:
-            event.set()
-
     def _shut(self, error: Exception) -> None:
-        """Mark the endpoint closed, fail its pending requests with `error`
-        and let go of what it calls back into."""
-        self._closed.set()
+        """Mark the endpoint closed, fail its unanswered requests with
+        `error` and let go of what it calls back into."""
+        with self._lock:
+            self.closed.set()
+            for slot in self._pending.values():
+                if slot[1] is None:
+                    slot[1] = error
+                    if slot[0] is not None:
+                        slot[0].set()
         self.handler = None
         self._accept = None
-        self._fail_all(error)
 
     def close(self) -> None:
         self.transport.close()

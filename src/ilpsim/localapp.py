@@ -6,7 +6,6 @@ halves of the SPSP send/serve commands."""
 
 from __future__ import annotations
 
-import json
 from typing import Optional
 
 from . import ilp, link, peering, stream
@@ -37,9 +36,7 @@ class LocalApp:
         self.endpoint.authenticate(name, token, timeout=timeout)
 
     def ildcp(self) -> dict:
-        return json.loads(
-            peering.request_entry(self.endpoint, peering.json_entry("ildcp", {}), self.timeout)
-        )
+        return peering.query(self.endpoint, "ildcp", self.timeout)
 
     def send_packet(
         self, prepare: ilp.PreparePacket, timeout: Optional[float] = None

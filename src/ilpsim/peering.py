@@ -2,10 +2,11 @@
 channel announcements, automatic settlement claims, and claim receipt; the
 one table that answers the sub-protocol entries of inbound BTP Messages; and
 the one outbound path: `request_entry` sends an entry and returns the data of
-the reply entry of the same name, and `send_prepare` sends an ILP Prepare and
-returns its Fulfill or Reject, turning link failures into Rejects
-(`relay_prepare` does the same for a Prepare already encoded, and leaves its
-Fulfill encoded).
+the reply entry of the same name, `query` is the client of the JSON
+sub-protocols, and `relay_prepare` sends an encoded ILP Prepare and returns
+its Fulfill as (bytes as received, fulfillment, data), or its Reject,
+turning link failures into Rejects; `send_prepare` wraps it for a
+PreparePacket and returns a FulfillPacket.
 
 Each receiving side registers a handler per entry name (see `dispatch`).
 Entries, and who answers them:
@@ -100,38 +101,37 @@ def request_entry(endpoint: link.LinkEndpoint, entry: btp.ProtocolEntry, timeout
     raise link.LinkError(f"reply carried no {entry.name!r} entry")
 
 
+def query(endpoint: link.LinkEndpoint, name: str, timeout: float) -> dict:
+    """Ask the JSON sub-protocol `name` with an empty request; return the
+    decoded answer."""
+    return json.loads(request_entry(endpoint, json_entry(name, {}), timeout))
+
+
 def send_prepare(
     endpoint: link.LinkEndpoint,
     prepare: ilp.PreparePacket,
     timeout: float,
     triggered_by: ilp.IlpAddress,
 ) -> ilp.FulfillPacket | ilp.RejectPacket:
-    """Send a Prepare and return its Fulfill or Reject. A timeout becomes an
-    R00 Reject; any other link failure, or an answer that is a Prepare or no
-    ILP packet at all, a T00 Reject triggered by `triggered_by`."""
-    return _exchange(
-        endpoint, ilp.encode_packet(prepare), timeout, triggered_by, ilp.decode_packet
-    )
+    """relay_prepare for a Prepare packet, with its Fulfill decoded."""
+    answer = relay_prepare(endpoint, ilp.encode_packet(prepare), timeout, triggered_by)
+    if isinstance(answer, ilp.RejectPacket):
+        return answer
+    return ilp.FulfillPacket(answer[1], answer[2])
 
 
 def relay_prepare(
     endpoint: link.LinkEndpoint, data: bytes, timeout: float, triggered_by: ilp.IlpAddress
-) -> tuple[bytes, bytes] | ilp.RejectPacket:
-    """Send an encoded Prepare as it is (a hop relaying one) and return its
-    Fulfill as the pair (bytes as received, fulfillment), checked by
-    ilp.read_fulfill but not decoded, or its Reject, as send_prepare does."""
-    return _exchange(
-        endpoint, data, timeout, triggered_by, lambda answer: (answer, ilp.read_fulfill(answer)[0])
-    )
-
-
-def _exchange(endpoint, data, timeout, triggered_by, read_fulfill):
-    """Send the encoded Prepare `data`; return read_fulfill of a Fulfill
-    answer, a Reject answer decoded, or a Reject for what went wrong."""
+) -> tuple[bytes, bytes, bytes] | ilp.RejectPacket:
+    """Send an encoded Prepare as it is and return its Fulfill as the triple
+    (bytes as received, fulfillment, data), checked by ilp.read_fulfill, or
+    its Reject decoded. A timeout becomes an R00 Reject; any other link
+    failure, or an answer that is a Prepare or no ILP packet at all, a T00
+    Reject triggered by `triggered_by`."""
     try:
         answer = request_entry(endpoint, ilp_entry(data), timeout)
         if answer[:1] == _FULFILL:
-            return read_fulfill(answer)
+            return (answer, *ilp.read_fulfill(answer))
         packet = ilp.decode_packet(answer)
     except link.Timeout as exc:
         code, message = ilp.R00_TRANSFER_TIMED_OUT, f"timed out: {exc}"
@@ -212,8 +212,7 @@ class Peer:
         """Open the outgoing channel and announce it, first asking the peer
         for its ledger account if it has not given it."""
         if self.peer_ledger_account is None:
-            data = request_entry(self.endpoint, json_entry("ledger_identity", {}), timeout)
-            self.peer_ledger_account = json.loads(data)["account"]
+            self.peer_ledger_account = query(self.endpoint, "ledger_identity", timeout)["account"]
         channel = self.open_outgoing_channel(amount, settle_delay)
         announce = {
             "channel_id": channel.channel_id,

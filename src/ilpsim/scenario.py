@@ -25,6 +25,7 @@ from . import ledger as lg
 from . import link, spsp, stream, uplink
 from .clock import SimClock
 from .events import EventLog
+from .settlement import BalancePolicy, check_peering_compat
 
 DEFAULT_TIMEOUTS = {"forward_timeout": 5.0, "packet_timeout": 5.0, "retry_budget": 10}
 FAULT_KEYS = frozenset({"drop_rate", "duplicate_rate"})
@@ -144,19 +145,24 @@ class Topology:
         conn_b = self.connectors[cfg["to"]["connector"]]
         account_a = cfg["from"]["account"]
         account_b = cfg["to"]["account"]
-        t_a, t_b = self._link_pair(f"peering:{cfg['from']['connector']}:{cfg['to']['connector']}")
+        acc_a, acc_b = conn_a.accounts[account_a], conn_b.accounts[account_b]
+        name = f"peering:{cfg['from']['connector']}:{cfg['to']['connector']}"
+        settles = acc_a.outgoing_channel_amount or acc_b.outgoing_channel_amount
+        _check_policies(name, acc_a.policy, acc_b.policy, settles)
+        t_a, t_b = self._link_pair(name)
         conn_b.accept_transport(account_b, t_b)
-        dialer = conn_a.dial(
-            account_a, t_a, cfg["from"]["connector"], conn_b.accounts[account_b].secret
-        )
+        dialer = conn_a.dial(account_a, t_a, cfg["from"]["connector"], acc_b.secret)
         conn_a.establish_channel(dialer.peer_id)
 
     def _wire_node(self, cfg: dict) -> None:
         name = cfg["name"]
         conn = self.connectors[cfg["connector"]]
         account_id = cfg["account"]
-        ledger = self.ledgers[cfg["uplink"].get("ledger", conn.accounts[account_id].ledger_id)]
+        account = conn.accounts[account_id]
+        ledger = self.ledgers[cfg["uplink"].get("ledger", account.ledger_id)]
         node_cfg = uplink.uplink_from_config({"name": name, **cfg["uplink"]})
+        settles = node_cfg.channel_amount or account.outgoing_channel_amount
+        _check_policies(f"node {name}", node_cfg.policy, account.policy, settles)
         node = uplink.UplinkNode(node_cfg, ledger, clock=self.clock, event_log=self.events)
         ledger.create_and_fund(node_cfg.ledger_account, node._pubkey, int(cfg.get("fund", 0)))
         server = stream.StreamServer(
@@ -252,6 +258,14 @@ class Topology:
                 total += peer.balance.value
             positions[conn_name] = total
         return positions
+
+
+def _check_policies(what: str, a: BalancePolicy, b: BalancePolicy, settles: int) -> None:
+    """Refuse two peers that settle (`settles`: either opens a channel) but
+    whose policies would have one settle only once it owes the most that the
+    other lets it owe. Where nothing settles, the maxima alone bound it."""
+    if settles and not check_peering_compat(a, b):
+        raise ValueError(f"{what}: incompatible balance policies {a} and {b}")
 
 
 def run_scenario(

@@ -4,7 +4,6 @@ payment channel, learns its child address, and bridges local applications
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from typing import Optional
@@ -103,9 +102,7 @@ class UplinkNode:
             ilp=peering.ilp_handler(lambda data: self._handle_prepare(ilp.decode_packet(data))),
         )
         endpoint.authenticate(self.config.name, self.config.token, timeout=self.request_timeout)
-        info = json.loads(
-            peering.request_entry(endpoint, peering.json_entry("ildcp", {}), self.request_timeout)
-        )
+        info = peering.query(endpoint, "ildcp", self.request_timeout)
         self.address = ilp.parse_address(info["ilp_address"])
         if self.stream_server is not None:
             self.stream_server.base_address = self.address.with_suffix("local")
@@ -171,8 +168,9 @@ class UplinkNode:
         return response
 
     def _deliver_locally(self, prepare: ilp.PreparePacket) -> ilp.FulfillPacket | ilp.RejectPacket:
-        if self._local_sink is not None:
-            return peering.send_prepare(self._local_sink, prepare, self.request_timeout, self.address)
+        sink = self._local_sink
+        if sink is not None and not sink.closed.is_set():
+            return peering.send_prepare(sink, prepare, self.request_timeout, self.address)
         if self.stream_server is not None:
             return self.stream_server.handle_prepare(prepare)
         return ilp.RejectPacket(

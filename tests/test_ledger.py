@@ -117,6 +117,19 @@ def test_cooperative_close_refund(xrp, keys):
         xrp.close_channel(chan.channel_id, "rPayee")
 
 
+def test_stranger_cannot_close_a_channel(xrp, keys):
+    priv, pub = keys
+    xrp.create_and_fund("rPayer", pub, 1000)
+    xrp.create_and_fund("rPayee", b"", 0)
+    xrp.create_and_fund("rStranger", b"", 0)
+    chan = xrp.open_channel("rPayer", "rPayee", 500, 60, pub)
+    with pytest.raises(lg.LedgerError, match="neither payer nor payee"):
+        xrp.close_channel(chan.channel_id, "rStranger")
+    assert chan.state == lg.OPEN
+    assert xrp.redeem_claim(lg.sign_claim(priv, chan.channel_id, 300)) == 300
+    assert xrp.account_info("rPayer").balance == 500
+
+
 def test_payer_close_waits_settle_delay(keys):
     priv, pub = keys
     clock = SimClock()

@@ -1,4 +1,5 @@
 import socket
+import sys
 import threading
 import time
 
@@ -43,7 +44,7 @@ def refused_auth(accept, payload=b"homeuser\x00secret", entry_name="auth"):
     client = link.LinkEndpoint(ct)
     with pytest.raises(link.PeerError) as err:
         client.request([entry(entry_name, payload)], timeout=2)
-    return server, err.value, client._closed.wait(2)
+    return server, err.value, client.closed.wait(2)
 
 
 def test_auth_success_tags_peer_name():
@@ -75,7 +76,7 @@ def test_undecodable_first_frame_closes_unanswered():
     answers = []
     st.send = answers.append
     ct.send(b"\xff not a frame")
-    assert server._closed.wait(2)
+    assert server.closed.wait(2)
     assert answers == []  # closed with no Error frame
 
 
@@ -121,15 +122,36 @@ def test_interleaved_requests_correlate_independently():
 
 
 def test_request_ids_strictly_increase():
-    seen = []
+    ct, _st = link.memory_pair()  # nothing answers: each request times out at once
+    sent = []
+    ct.send = sent.append
+    client = link.LinkEndpoint(ct, authenticated=True)
 
-    def handler(_ep, entries):
-        return []
+    def ids(count):
+        sent.clear()
+        for _ in range(count):
+            with pytest.raises(link.Timeout):
+                client.request([entry("q")], timeout=1)
+        return [btp.decode_frame(data).request_id for data in sent]
 
-    client, server = make_pair(server_handler=handler)
-    first = client._allocate_id()
-    second = client._allocate_id()
-    assert second == first + 1
+    assert ids(3) == [1, 2, 3]
+    client._next_id = 2**32 - 1
+    assert ids(2) == [2**32 - 1, 1]  # 0 is never used
+
+
+def test_answer_delivered_before_close_is_returned():
+    ct, st = link.memory_pair()
+    link.LinkEndpoint(st, handler=lambda _ep, entries: [entry("ok")], authenticated=True)
+    client = link.LinkEndpoint(ct, authenticated=True)
+    reply = st.send
+
+    def reply_then_close(data):
+        reply(data)
+        st.close()
+
+    st.send = reply_then_close
+    assert client.request([entry("q")], timeout=5)[0].name == "ok"
+    assert client.closed.is_set()
 
 
 def test_request_on_closed_link():
@@ -249,6 +271,44 @@ def test_close_fails_an_outstanding_request_at_once():
     assert len(errors) == 1 and isinstance(errors[0], link.LinkClosed)
 
 
+@pytest.mark.parametrize("kind", ["memory", "tcp"])
+def test_concurrent_requests_and_close(kind):
+    """Many threads request over one link while it closes: each gets its
+    own answer or LinkClosed, never another's answer or a Timeout."""
+    if kind == "tcp":
+        ct, st = (link.TcpTransport(sock) for sock in socket.socketpair())
+    else:
+        ct, st = link.memory_pair()
+    link.LinkEndpoint(st, handler=lambda _ep, entries: [entries[0]], authenticated=True)
+    client = link.LinkEndpoint(ct, authenticated=True)
+    outcomes = []
+
+    def call(tag):
+        for i in range(1000):
+            data = f"{tag}:{i}".encode()
+            try:
+                outcomes.append(client.request([entry("q", data)], timeout=5)[0].data == data)
+            except link.LinkError as exc:
+                outcomes.append(type(exc).__name__)
+
+    callers = [threading.Thread(target=call, args=(tag,)) for tag in range(8)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        while len(outcomes) < 6000 and any(caller.is_alive() for caller in callers):
+            time.sleep(0.001)
+        client.close()
+        for caller in callers:
+            caller.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(outcomes) == 8000
+    assert set(outcomes) == {True, "LinkClosed"}
+
+
 @pytest.mark.parametrize("lossy_side", ["request", "reply"])
 def test_dropped_memory_frame_times_out_at_once(lossy_side):
     ct, st = link.memory_pair()
@@ -291,7 +351,7 @@ def test_memory_request_builds_no_event(monkeypatch):
 def test_closing_one_half_closes_both_endpoints():
     client, server = make_pair()
     client.close()
-    assert server._closed.is_set() and server.handler is None
+    assert server.closed.is_set() and server.handler is None
     with pytest.raises(link.LinkClosed):
         server.request([entry("ilp")], timeout=5)
 

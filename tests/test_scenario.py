@@ -208,6 +208,19 @@ def test_assert_action_failure():
         scenario.run_scenario(spec, seed=0)
 
 
+def test_incompatible_balance_policies_refused_at_setup():
+    node_spec = copy.deepcopy(scenario.load_builtin("xrp_single_connector"))
+    # alice settles only once she owes 1000, the most conn1 lets her owe
+    node_spec["nodes"][0]["uplink"]["balance"]["settleThreshold"] = -1000
+    with pytest.raises(scenario.SetupFailed, match="node alice: incompatible balance policies"):
+        scenario.Topology(node_spec, seed=0)
+    peering_spec = copy.deepcopy(scenario.load_builtin("xrp_eth_two_connectors"))
+    conn2 = next(c for c in peering_spec["connectors"] if c["name"] == "conn2")
+    conn2["accounts"]["conn1"]["balance"]["maximum"] = 20000000
+    with pytest.raises(scenario.SetupFailed, match="peering:conn1:conn2: incompatible balance policies"):
+        scenario.Topology(peering_spec, seed=0)
+
+
 def test_unknown_action_rejected():
     spec = copy.deepcopy(scenario.load_builtin("xrp_single_connector"))
     spec["actions"] = [{"action": "explode"}]

@@ -97,6 +97,37 @@ def test_unknown_token_at_receiver_f06(topo):
     assert response.code == "F06"
 
 
+def _listen_then_leave(node):
+    """A local app registers as the node's packet sink, then disconnects;
+    returns once the node's end of that link is closed."""
+    app = LocalApp("127.0.0.1", node.listen_local(0))
+    app.listen(stream.StreamServer())
+    sink = node._local_sink
+    app.close()
+    assert sink.closed.wait(2)
+
+
+def test_departed_local_sink_leaves_delivery_to_the_stream_server(topo):
+    _listen_then_leave(topo.nodes["bob"])
+    report = spsp.pay(topo.servers["bob"], 100, topo.nodes["alice"])
+    assert report.source_sent == 100
+    assert topo.servers["bob"].total_received == 100
+
+
+def test_departed_local_sink_and_no_stream_server_answers_f06(topo):
+    bob = topo.nodes["bob"]
+    _listen_then_leave(bob)
+    bob.stream_server = None
+    prepare = ilp.PreparePacket(
+        destination=ilp.parse_address("g.conn1.bob.bob.local.anything"),
+        amount=1,
+        condition=bytes(32),
+        expires_at=topo.clock.now() + timedelta(seconds=30),
+    )
+    response = topo.nodes["alice"].send_packet(prepare)
+    assert (response.code, response.message) == ("F06", "no local application listening")
+
+
 def test_over_trust_limit_payment_fails_without_delivery(topo):
     with pytest.raises(stream.PaymentError) as excinfo:
         spsp.pay(topo.servers["bob"], 1500, topo.nodes["alice"], retry_budget=3)
