@@ -11,6 +11,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -251,15 +252,6 @@ def spsp_send(
 # --- inspect -----------------------------------------------------------------
 
 
-def _report_json(report: inspector.InspectorReport) -> dict:
-    return {
-        "layer": report.layer,
-        "fields": report.fields,
-        "nested": [_report_json(sub) for sub in report.nested],
-        "error": report.error,
-    }
-
-
 @main.command("inspect")
 @click.argument("hexfile")
 @click.option("--json", "as_json", is_flag=True, help="Emit the report as JSON.")
@@ -270,7 +262,7 @@ def inspect_cmd(hexfile: str, as_json: bool) -> None:
         report = inspector.inspect_hex(text)
     except ValueError as exc:
         raise click.ClickException(f"not valid hex: {exc}")
-    click.echo(json.dumps(_report_json(report), default=str) if as_json else report.render())
+    click.echo(json.dumps(asdict(report), default=str) if as_json else report.render())
 
 
 # --- scenario ----------------------------------------------------------------
@@ -318,3 +310,7 @@ def scenario_run(
         click.echo(payload)
     if not report.ok():
         raise SystemExit(1)
+
+
+if __name__ == "__main__":
+    main()

@@ -6,9 +6,10 @@ forwarded with its amount and expiry rewritten in place, and a Fulfill is
 relayed as received once it matches the condition.
 
 Middleware order on an incoming Prepare is fixed: expiry, maxPacketAmount
-(F08), trust limit (T04), then route lookup (F02). A converted amount too
-large for an ILP amount (2^64 or more) is F08 as well, and rolls back the
-incoming balance."""
+(F08), trust limit (T04), then route lookup (F02, also when the next hop has
+no connected peer). A converted amount too large for an ILP amount (2^64 or
+more) is F08 as well. The trust limit holds the amount on the incoming
+balance, and every Reject after it releases the hold."""
 
 from __future__ import annotations
 
@@ -230,21 +231,13 @@ class Connector:
 
     def _ildcp_response(self, peer: ConnectorPeer) -> btp.ProtocolEntry:
         if peer.child_address is None:
-            raise link.BtpErrorResponse("F00", "no address assigned on this account")
+            raise link.PeerError("F00", "no address assigned on this account")
         return peering.ildcp_entry(
             peer.child_address, peer.account.asset_code, peer.account.asset_scale
         )
 
     def _accept_channel(self, peer: ConnectorPeer, data: bytes) -> None:
-        peer.handle_channel_entry(data)
-        incoming = peer.ledger.get_channel(peer.balance.incoming_channel)
-        if incoming.amount < peer.account.min_incoming_channel_amount:
-            peer.balance.incoming_channel = None
-            raise link.BtpErrorResponse(
-                "F00",
-                f"channel of {incoming.amount} is below the minimum of "
-                f"{peer.account.min_incoming_channel_amount}",
-            )
+        peer.handle_channel_entry(data, peer.account.min_incoming_channel_amount)
         self.establish_channel(peer.peer_id)  # the reciprocal channel
 
     # -- packet pipeline
@@ -254,12 +247,14 @@ class Connector:
         with only its amount and expiry rewritten, and the next hop's Fulfill
         is relayed as the bytes received once its fulfillment matches the
         condition; a Reject is returned decoded, so its code can be read.
+        A Reject after the trust limit releases its hold here, at one site.
         Bytes that are no Prepare raise CodecError."""
-        amount, expires_at, condition_b, destination, _payload, head = ilp.read_prepare(data)
+        prepare = ilp.read_prepare(data)
+        amount, expires_at, condition, _destination, _payload, _head = prepare
         account = from_peer.account
-        condition = condition_b.hex()
         self.events.emit(
-            self.name, "prepare_in", peer=from_peer.peer_id, amount=amount, condition=condition,
+            self.name, "prepare_in", peer=from_peer.peer_id, amount=amount,
+            condition=condition.hex(),
         )
         # 1. expiry
         if self.clock.now() + self.min_message_window >= expires_at:
@@ -273,12 +268,23 @@ class Connector:
         # 3. trust limit
         if not from_peer.balance.on_incoming_prepare(amount):
             return self._reject(ilp.T04_INSUFFICIENT_LIQUIDITY, "exceeds balance maximum")
-        # 4. route
-        next_hop = self.routes.lookup(destination)
-        if next_hop is None or next_hop == from_peer.peer_id:
+        answer = self._forward(from_peer, data, prepare)
+        if isinstance(answer, ilp.RejectPacket):
             from_peer.balance.rollback_incoming(amount)
+        return answer
+
+    def _forward(
+        self, from_peer: ConnectorPeer, data: bytes, prepare: tuple
+    ) -> bytes | ilp.RejectPacket:
+        """Steps 4 to 7 of handle_prepare, for a Prepare whose amount is held;
+        `prepare` is what ilp.read_prepare read from `data`."""
+        amount, expires_at, condition_b, destination, _payload, head = prepare
+        account = from_peer.account
+        condition = condition_b.hex()
+        # 4. route: a next hop that has no peer, or is the sender, is no route
+        to_peer = self.peers.get(self.routes.lookup(destination))
+        if to_peer is None or to_peer is from_peer:
             return self._reject(ilp.F02_UNREACHABLE, f"no route to {destination}")
-        to_peer = self.peers[next_hop]
         # 5. convert and forward
         try:
             out_amount = self.backend.convert(
@@ -289,10 +295,8 @@ class Connector:
                 to_peer.account.asset_scale,
             )
         except rates.NoRate as exc:
-            from_peer.balance.rollback_incoming(amount)
             return self._reject(ilp.F02_UNREACHABLE, str(exc))
         if out_amount >= 2**64:
-            from_peer.balance.rollback_incoming(amount)
             return self._reject(
                 ilp.F08_AMOUNT_TOO_LARGE, f"converted amount {out_amount} exceeds 64 bits"
             )
@@ -308,14 +312,12 @@ class Connector:
         )
         # 6/7. relay
         if isinstance(response, ilp.RejectPacket):
-            from_peer.balance.rollback_incoming(amount)
             self.events.emit(
                 self.name, "reject_relayed", condition=condition, code=response.code
             )
             return response
         fulfill, fulfillment, _data = response
         if not ilp.verify_fulfillment(fulfillment, condition_b):
-            from_peer.balance.rollback_incoming(amount)
             self.events.emit(self.name, "fulfill_relayed", condition=condition, verified=False)
             return self._reject(ilp.F05_WRONG_CONDITION, "fulfillment does not match condition")
         to_peer.record_fulfilled(out_amount, settle_timeout=self.forward_timeout)

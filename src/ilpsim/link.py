@@ -66,16 +66,9 @@ class AuthFailed(LinkError):
 
 
 class PeerError(LinkError):
-    """The peer answered with a BTP Error frame."""
-
-    def __init__(self, code: str, message: str):
-        super().__init__(f"{code}: {message}")
-        self.code = code
-        self.message = message
-
-
-class BtpErrorResponse(Exception):
-    """Raised by a message handler to answer with an Error frame."""
+    """A BTP Error frame: `request` raises it when the peer answers with
+    one, and a message handler raises it to answer with one. A peer's Error
+    that escapes a handler is passed on with its own code and message."""
 
     def __init__(self, code: str, message: str):
         super().__init__(f"{code}: {message}")
@@ -481,7 +474,7 @@ class LinkEndpoint:
         try:
             entries = self._process_message(frame)
             reply = btp.encode_frame(btp.BtpFrame(btp.TYPE_RESPONSE, rid, tuple(entries)))
-        except BtpErrorResponse as exc:
+        except PeerError as exc:
             reply = btp.encode_frame(_error_frame(rid, exc.code, exc.message))
         except Exception:  # a failed handler, or a reply that cannot be encoded
             log.exception("message handler failed")
@@ -495,27 +488,27 @@ class LinkEndpoint:
         if self._accept is not None and not self.authenticated:
             return self._authenticate(frame)
         if frame.entry(AUTH_PROTOCOL) is not None:
-            raise BtpErrorResponse("F00", "already authenticated")
+            raise PeerError("F00", "already authenticated")
         if not self.authenticated:
-            raise BtpErrorResponse("F00", "not authenticated")
+            raise PeerError("F00", "not authenticated")
         handler = self.handler  # read once: closing may drop it meanwhile
         if handler is None:
-            raise BtpErrorResponse("F00", "no handler registered")
+            raise PeerError("F00", "no handler registered")
         return handler(self, frame.entries)
 
     def _authenticate(self, frame: btp.BtpFrame) -> list:
         auth = frame.entry(AUTH_PROTOCOL) if frame.frame_type == btp.TYPE_MESSAGE else None
         if auth is None:
-            raise BtpErrorResponse("F00", "auth required")
+            raise PeerError("F00", "auth required")
         name, _, token = auth.data.decode("ascii", "replace").partition("\x00")
         self.peer_auth_name = name
         try:
             accepted = self._accept(self, name, token)
         except Exception as exc:
             log.info("refused %r: %s", name, exc)
-            raise BtpErrorResponse("F00", f"refused: {exc}") from exc
+            raise PeerError("F00", f"refused: {exc}") from exc
         if not accepted:
-            raise BtpErrorResponse("F00", "auth failed")
+            raise PeerError("F00", "auth failed")
         self.authenticated = True
         return []
 

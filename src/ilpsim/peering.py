@@ -23,9 +23,12 @@ Entries, and who answers them:
     "ildcp"           JSON    address and asset query; the connector for a
                               child, the local-app port for a local app
     "channel"         JSON    payer announces a freshly opened outgoing
-                              channel; every Peer (the connector also checks
-                              minIncomingChannelAmount and opens its own
-                              channel back)
+                              channel by its id alone; every Peer reads it
+                              once from the ledger, checks that it pays this
+                              side and takes its payer as the peer's ledger
+                              account (the connector also checks
+                              minIncomingChannelAmount there, and then opens
+                              its own channel back)
     "claim"           JSON    signed cumulative settlement claim; every Peer
     "ledger_identity" JSON    asks for the answerer's ledger account; every
                               Peer
@@ -159,7 +162,7 @@ def ilp_handler(handle_prepare: PrepareHandler) -> EntryHandler:
     def handle(data: bytes) -> btp.ProtocolEntry:
         if data[:1] != _PREPARE:
             ilp.decode_packet(data)
-            raise link.BtpErrorResponse("F00", "only Prepare may initiate an exchange")
+            raise link.PeerError("F00", "only Prepare may initiate an exchange")
         reply = handle_prepare(data)
         return ilp_entry(reply if isinstance(reply, bytes) else ilp.encode_packet(reply))
 
@@ -214,12 +217,8 @@ class Peer:
         if self.peer_ledger_account is None:
             self.peer_ledger_account = query(self.endpoint, "ledger_identity", timeout)["account"]
         channel = self.open_outgoing_channel(amount, settle_delay)
-        announce = {
-            "channel_id": channel.channel_id,
-            "owner_account": self.own_ledger_account,
-            "asset_code": self.ledger.config.asset_code,
-        }
-        self.endpoint.request([json_entry("channel", announce)], timeout=timeout)
+        announce = json_entry("channel", {"channel_id": channel.channel_id})
+        self.endpoint.request([announce], timeout=timeout)
 
     def open_outgoing_channel(self, amount: int, settle_delay: int = DEFAULT_SETTLE_DELAY):
         if self.peer_ledger_account is None:
@@ -231,13 +230,19 @@ class Peer:
         self.balance.outgoing_channel = channel.channel_id
         return channel
 
-    def handle_channel_entry(self, data: bytes) -> None:
-        info = json.loads(data)
-        channel = self.ledger.get_channel(info["channel_id"])
+    def handle_channel_entry(self, data: bytes, min_amount: int = 0) -> None:
+        """Record the channel the peer announces, read once from the ledger:
+        it must pay this side and hold at least `min_amount`, and its payer's
+        account becomes the peer's ledger account."""
+        channel = self.ledger.get_channel(json.loads(data)["channel_id"])
         if channel.destination != self.own_ledger_account:
-            raise link.BtpErrorResponse("F00", "channel does not pay this peer")
+            raise link.PeerError("F00", "channel does not pay this peer")
+        if channel.amount < min_amount:
+            raise link.PeerError(
+                "F00", f"channel of {channel.amount} is below the minimum of {min_amount}"
+            )
         self.balance.incoming_channel = channel.channel_id
-        self.peer_ledger_account = info.get("owner_account", channel.account)
+        self.peer_ledger_account = channel.account
         self.events.emit(self.component, "channel_in", peer=self.peer_id, channel=channel.channel_id)
 
     # -- settlement
@@ -300,7 +305,7 @@ class Peer:
         try:
             delta = self.balance.receive_claim(claim, self.ledger)
         except lg.LedgerError as exc:
-            raise link.BtpErrorResponse("F00", f"invalid claim: {exc}") from exc
+            raise link.PeerError("F00", f"invalid claim: {exc}") from exc
         self.events.emit(
             self.component, "claim_received", peer=self.peer_id, delta=delta,
             cumulative=claim.cumulative_amount,

@@ -192,8 +192,6 @@ class StreamSender:
         packet_lifetime: float = DEFAULT_PACKET_LIFETIME,
         packet_timeout: float = 5.0,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
-        component: str = "stream-sender",
-        event_log: EventLog = NULL_LOG,
     ):
         self.send_fn = send_fn
         self.credentials = credentials
@@ -202,8 +200,6 @@ class StreamSender:
         self.packet_timeout = packet_timeout
         self.retry_budget = retry_budget
         self.state = "open"
-        self.component = component
-        self.events = event_log
         self._sequence = 0
 
     def send_money(self, total_source_amount: int, max_packet_amount: int) -> SendReport:

@@ -134,14 +134,7 @@ class UplinkNode:
         return packet
 
     def open_stream(self, credentials: stream.StreamCredentials, **kwargs) -> stream.StreamSender:
-        return stream.StreamSender(
-            self.send_packet,
-            credentials,
-            clock=self.clock,
-            component=f"node:{self.config.name}",
-            event_log=self.events,
-            **kwargs,
-        )
+        return stream.StreamSender(self.send_packet, credentials, clock=self.clock, **kwargs)
 
     # -- incoming traffic
 
@@ -195,7 +188,7 @@ class UplinkNode:
 
         def ildcp(_data: bytes) -> btp.ProtocolEntry:
             if self.address is None:
-                raise link.BtpErrorResponse("T00", "no address assigned yet")
+                raise link.PeerError("T00", "no address assigned yet")
             return peering.ildcp_entry(
                 self.address.with_suffix("local"), self.config.asset_code, self.config.asset_scale
             )

@@ -10,6 +10,8 @@ from importlib import resources
 
 from ilpsim.cli import main
 
+BUILTINS = ["self_swap", "xrp_eth_one_connector", "xrp_eth_two_connectors", "xrp_single_connector"]
+
 
 @pytest.fixture
 def runner():
@@ -19,12 +21,7 @@ def runner():
 def test_scenario_list(runner):
     result = runner.invoke(main, ["scenario", "list"])
     assert result.exit_code == 0
-    assert result.output.split() == [
-        "self_swap",
-        "xrp_eth_one_connector",
-        "xrp_eth_two_connectors",
-        "xrp_single_connector",
-    ]
+    assert result.output.split() == BUILTINS
 
 
 def test_scenario_run_builtin(runner):
@@ -83,20 +80,31 @@ def test_inspect_capture_file(runner, tmp_path):
     assert "amount: 2500000000" in result.output
 
 
-def test_inspect_closes_its_file(tmp_path):
-    hex_text = (resources.files("ilpsim") / "captures" / "btp_prepare.hex").read_text()
-    path = tmp_path / "frame.hex"
-    path.write_text(hex_text)
+def python(*args):
+    """Run the interpreter with `src` on its path; return the finished process."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
-         "import sys; from ilpsim.cli import main; main(sys.argv[1:])", "inspect", str(path)],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("module", ["ilpsim", "ilpsim.cli"])
+def test_python_dash_m_runs_the_command(module):
+    result = python("-m", module, "scenario", "list")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == BUILTINS
+
+
+def test_inspect_closes_its_file(tmp_path):
+    hex_text = (resources.files("ilpsim") / "captures" / "btp_prepare.hex").read_text()
+    path = tmp_path / "frame.hex"
+    path.write_text(hex_text)
+    result = python("-X", "dev", "-W", "error::ResourceWarning", "-m", "ilpsim", "inspect", str(path))
     assert result.returncode == 0, result.stderr
     assert "requestId: 530421608" in result.stdout
     assert "ResourceWarning" not in result.stderr, result.stderr

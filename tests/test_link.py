@@ -465,6 +465,19 @@ def test_tcp_handler_that_raises_is_answered_t00_and_next_message_served():
         listener.close()
 
 
+def test_peer_error_escaping_a_handler_is_passed_on():
+    """A handler that forwards a request and lets the far peer's Error escape
+    answers with that Error's code and message, not T00."""
+    def refuse(_ep, _entries):
+        raise link.PeerError("F00", "nope")
+
+    far_client, _far = make_pair(server_handler=refuse)
+    client, _server = make_pair(server_handler=lambda _ep, entries: far_client.request(entries))
+    with pytest.raises(link.PeerError) as err:
+        client.request([entry("q")], timeout=2)
+    assert (err.value.code, err.value.message) == ("F00", "nope")
+
+
 def unencodable_reply(_ep, entries):
     return [btp.ProtocolEntry("\u00e9", 0, b"")]  # BTP names are ASCII
 

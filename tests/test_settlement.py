@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ilpsim import connector, link, rates
 from ilpsim import ledger as lg
 from ilpsim import settlement as stl
-from ilpsim.link import BtpErrorResponse
-from ilpsim.peering import Peer
+from ilpsim.link import PeerError
+from ilpsim.peering import Peer, json_entry
 
 
 def policy(maximum=20, threshold=-15, settle_to=0):
@@ -200,6 +201,34 @@ class CountingLedger(lg.Ledger):
         return super().verify_claim(claim)
 
 
+def test_connector_reads_an_announced_channel_once():
+    """The connector checks an announced channel's payee and minimum size,
+    and takes its payer, from one ledger read."""
+    _priv, pub = lg.generate_keypair()
+    led = CountingLedger(lg.LedgerConfig("XRP", 6, 10**9, ledger_id="xrp"))
+    led.create_and_fund("alice", pub, 1000)
+    conn = connector.Connector("g.conn1", rates.RateBackend("one-to-one"), {"xrp": led})
+    conn.add_account(
+        connector.AccountConfig(
+            "alice", "child", "XRP", 6, policy(), secret="pw", min_incoming_channel_amount=100,
+            ledger_id="xrp", ledger_account="conn1_xrp",
+        )
+    )
+    to_alice, to_conn = link.memory_pair()
+    conn.accept_transport("alice", to_conn)
+    alice = link.LinkEndpoint(to_alice)
+    alice.authenticate("alice", "pw")
+    channel = led.open_channel("alice", "conn1_xrp", 100, 60, pub)
+    led.get_channel_calls = 0
+    alice.request([json_entry("channel", {"channel_id": channel.channel_id})])
+    assert led.get_channel_calls == 1
+    peer = conn.peers["alice.alice"]
+    assert (peer.balance.incoming_channel, peer.peer_ledger_account) == (
+        channel.channel_id, "alice",
+    )
+    alice.close()
+
+
 class RecordingEndpoint:
     def __init__(self):
         self.sent = []
@@ -329,7 +358,7 @@ def claim_entry(claim):
 
 def assert_refused(peer, led, claim, value, last_seen, redeemed):
     """The claim is refused with F00, and the balance and ledger stay put."""
-    with pytest.raises(BtpErrorResponse) as refused:
+    with pytest.raises(PeerError) as refused:
         peer.handle_claim_entry(claim_entry(claim))
     assert refused.value.code == "F00"
     assert refused.value.message.startswith("invalid claim")

@@ -118,6 +118,32 @@ def test_channel_below_minimum_refused_f00():
         node.close()
 
 
+def test_reciprocal_channel_pays_the_announced_channels_payer():
+    """An announce that names a foreign owner_account cannot point the
+    connector's channel back at that account: the payer comes from the
+    ledger's record of the channel."""
+    ledger = xrp_ledger()
+    conn = make_connector(ledger, outgoingChannelAmount=500)
+    conn.fund_ledger_account("alice", 1000)
+    ledger.create_and_fund("mallory", b"", 0)
+    node = make_node(ledger)
+    t_node, t_conn = link.memory_pair()
+    conn.accept_transport("alice", t_conn)
+    node.connect(t_node)
+    try:
+        channel = ledger.open_channel("alice", "conn1_xrp", 100, 3600, node._pubkey)
+        announce = peering.json_entry(
+            "channel", {"channel_id": channel.channel_id, "owner_account": "mallory"}
+        )
+        node.parent.endpoint.request([announce], timeout=2)
+        peer = conn.peers["alice.alice"]
+        assert peer.peer_ledger_account == "alice"
+        reciprocal = ledger.get_channel(peer.balance.outgoing_channel)
+        assert (reciprocal.account, reciprocal.destination) == ("conn1_xrp", "alice")
+    finally:
+        node.close()
+
+
 def test_components_built_without_a_log_keep_no_events():
     ledger = xrp_ledger()
     conn = conn_mod.load_connector(

@@ -85,6 +85,27 @@ def test_unroutable_destination_rejected_f02(topo):
     assert response.code == "F02"
 
 
+def test_next_hop_without_a_peer_answers_f02_and_releases_the_hold():
+    """A route whose next hop never connected is no route (F02), and the
+    connector releases what it held against the sender."""
+    spec = scenario.load_builtin("xrp_eth_two_connectors")
+    del spec["peerings"]  # the route g.conn2 -> conn2 stays
+    topo = scenario.Topology(spec, seed=0)
+    try:
+        prepare = ilp.PreparePacket(
+            destination=ilp.parse_address("g.conn2.esther.esther"),
+            amount=3000,
+            condition=bytes(32),
+            expires_at=topo.clock.now() + timedelta(seconds=30),
+        )
+        response = topo.nodes["alice"].send_packet(prepare)
+        assert (response.code, str(response.triggered_by)) == ("F02", "g.conn1")
+        assert topo.connectors["conn1"].peers["alice.alice"].balance.value == 0
+        assert topo.nodes["alice"].parent.balance.value == 0
+    finally:
+        topo.close()
+
+
 def test_unknown_token_at_receiver_f06(topo):
     alice = topo.nodes["alice"]
     prepare = ilp.PreparePacket(
