@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass
-from datetime import timedelta
+from datetime import datetime, timedelta
 from typing import Optional
 
 from . import btp, ilp, ledger as lg, link, peering, rates
@@ -237,7 +237,10 @@ class Connector:
         )
 
     def _accept_channel(self, peer: ConnectorPeer, data: bytes) -> None:
-        peer.handle_channel_entry(data, peer.account.min_incoming_channel_amount)
+        with self._lock:  # a channel is one peer's: check and record it at once
+            others = (p for p in self.peers.values() if p is not peer and p.ledger is peer.ledger)
+            taken = {p.balance.incoming_channel for p in others}
+            peer.handle_channel_entry(data, peer.account.min_incoming_channel_amount, taken)
         self.establish_channel(peer.peer_id)  # the reciprocal channel
 
     # -- packet pipeline
@@ -249,12 +252,11 @@ class Connector:
         condition; a Reject is returned decoded, so its code can be read.
         A Reject after the trust limit releases its hold here, at one site.
         Bytes that are no Prepare raise CodecError."""
-        prepare = ilp.read_prepare(data)
-        amount, expires_at, condition, _destination, _payload, _head = prepare
+        amount, expires_at, condition_b, destination, _payload, head = ilp.read_prepare(data)
         account = from_peer.account
+        condition = condition_b.hex()
         self.events.emit(
-            self.name, "prepare_in", peer=from_peer.peer_id, amount=amount,
-            condition=condition.hex(),
+            self.name, "prepare_in", peer=from_peer.peer_id, amount=amount, condition=condition,
         )
         # 1. expiry
         if self.clock.now() + self.min_message_window >= expires_at:
@@ -268,19 +270,20 @@ class Connector:
         # 3. trust limit
         if not from_peer.balance.on_incoming_prepare(amount):
             return self._reject(ilp.T04_INSUFFICIENT_LIQUIDITY, "exceeds balance maximum")
-        answer = self._forward(from_peer, data, prepare)
+        answer = self._forward(
+            from_peer, data, head, amount, expires_at, condition_b, condition, destination
+        )
         if isinstance(answer, ilp.RejectPacket):
             from_peer.balance.rollback_incoming(amount)
         return answer
 
     def _forward(
-        self, from_peer: ConnectorPeer, data: bytes, prepare: tuple
+        self, from_peer: ConnectorPeer, data: bytes, head: int, amount: int,
+        expires_at: datetime, condition_b: bytes, condition: str, destination: ilp.IlpAddress,
     ) -> bytes | ilp.RejectPacket:
-        """Steps 4 to 7 of handle_prepare, for a Prepare whose amount is held;
-        `prepare` is what ilp.read_prepare read from `data`."""
-        amount, expires_at, condition_b, destination, _payload, head = prepare
+        """Steps 4 to 7 of handle_prepare, for a Prepare whose amount is held:
+        the fields ilp.read_prepare read from `data`, and `condition_b` in hex."""
         account = from_peer.account
-        condition = condition_b.hex()
         # 4. route: a next hop that has no peer, or is the sender, is no route
         to_peer = self.peers.get(self.routes.lookup(destination))
         if to_peer is None or to_peer is from_peer:

@@ -23,12 +23,11 @@ Entries, and who answers them:
     "ildcp"           JSON    address and asset query; the connector for a
                               child, the local-app port for a local app
     "channel"         JSON    payer announces a freshly opened outgoing
-                              channel by its id alone; every Peer reads it
-                              once from the ledger, checks that it pays this
-                              side and takes its payer as the peer's ledger
-                              account (the connector also checks
-                              minIncomingChannelAmount there, and then opens
-                              its own channel back)
+                              channel by its id alone; every Peer (see
+                              handle_channel_entry; the connector also
+                              refuses another peer's channel or one below
+                              minIncomingChannelAmount, and opens its own
+                              channel back)
     "claim"           JSON    signed cumulative settlement claim; every Peer
     "ledger_identity" JSON    asks for the answerer's ledger account; every
                               Peer
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import json
 import logging
-from typing import Callable, Optional
+from typing import Callable, Collection, Optional
 
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
@@ -230,13 +229,17 @@ class Peer:
         self.balance.outgoing_channel = channel.channel_id
         return channel
 
-    def handle_channel_entry(self, data: bytes, min_amount: int = 0) -> None:
-        """Record the channel the peer announces, read once from the ledger:
-        it must pay this side and hold at least `min_amount`, and its payer's
-        account becomes the peer's ledger account."""
+    def handle_channel_entry(
+        self, data: bytes, min_amount: int = 0, taken: Collection[str] = ()
+    ) -> None:
+        """Record the channel the peer announces, read once from the ledger: it
+        must pay this side, be none of `taken`, be paid by the peer's ledger
+        account if known, and hold `min_amount`; its payer becomes that account."""
         channel = self.ledger.get_channel(json.loads(data)["channel_id"])
         if channel.destination != self.own_ledger_account:
             raise link.PeerError("F00", "channel does not pay this peer")
+        if channel.channel_id in taken or self.peer_ledger_account not in (None, channel.account):
+            raise link.PeerError("F00", "channel is another peer's")
         if channel.amount < min_amount:
             raise link.PeerError(
                 "F00", f"channel of {channel.amount} is below the minimum of {min_amount}"

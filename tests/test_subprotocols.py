@@ -144,6 +144,67 @@ def test_reciprocal_channel_pays_the_announced_channels_payer():
         node.close()
 
 
+def connect_children(ledger, conn, *names):
+    """Uplink nodes of `names` connected as children of conn1's alice account."""
+    nodes = []
+    for name in names:
+        node = make_node(ledger, name=name, token="alice-pw")
+        t_node, t_conn = link.memory_pair()
+        conn.accept_transport("alice", t_conn)
+        node.connect(t_node)
+        nodes.append(node)
+    return nodes
+
+
+def announce(node, channel):
+    node.parent.endpoint.request(
+        [peering.json_entry("channel", {"channel_id": channel.channel_id})], timeout=2
+    )
+
+
+def test_channel_of_another_child_refused_f00():
+    """A child that announces the channel another child already announced
+    is refused, and the connector opens no channel to the other's account."""
+    ledger = xrp_ledger()
+    conn = make_connector(ledger, outgoingChannelAmount=500)
+    conn.fund_ledger_account("alice", 2000)
+    alice, bob = connect_children(ledger, conn, "alice", "bob")
+    try:
+        bobs = ledger.open_channel("bob", "conn1_xrp", 100, 3600, bob._pubkey)
+        announce(bob, bobs)
+        with pytest.raises(link.PeerError) as err:
+            announce(alice, bobs)
+        assert err.value.code == "F00"
+        peer = conn.peers["alice.alice"]
+        assert peer.balance.incoming_channel is None
+        assert peer.balance.outgoing_channel is None
+        assert peer.peer_ledger_account is None
+        assert conn.peers["alice.bob"].balance.incoming_channel == bobs.channel_id
+    finally:
+        alice.close()
+        bob.close()
+
+
+def test_channel_paid_by_another_account_refused_f00():
+    """Once a peer's ledger account is known, a channel paid by another
+    account is refused, even one no other peer has announced."""
+    ledger = xrp_ledger()
+    conn = make_connector(ledger, outgoingChannelAmount=500)
+    conn.fund_ledger_account("alice", 2000)
+    alice, bob = connect_children(ledger, conn, "alice", "bob")
+    try:
+        announce(alice, ledger.open_channel("alice", "conn1_xrp", 100, 3600, alice._pubkey))
+        peer = conn.peers["alice.alice"]
+        channel = peer.balance.incoming_channel
+        with pytest.raises(link.PeerError) as err:
+            announce(alice, ledger.open_channel("bob", "conn1_xrp", 100, 3600, bob._pubkey))
+        assert err.value.code == "F00"
+        assert (peer.balance.incoming_channel, peer.peer_ledger_account) == (channel, "alice")
+    finally:
+        alice.close()
+        bob.close()
+
+
 def test_components_built_without_a_log_keep_no_events():
     ledger = xrp_ledger()
     conn = conn_mod.load_connector(

@@ -6,7 +6,8 @@ front of bob's node is paid from alice's node with `spsp send`.
 The test runs the README's multi-process block line by line, in its order,
 on the configs shipped under `testbed/`. It rewrites only ports: each port
 key of a config becomes 0, and every port the README or a config names is
-replaced, in URLs, URIs and options, by the port bound in its place."""
+replaced, in URLs, URIs and options, by the port bound in its place. After
+the block it asks bob's node, as it asked alice's, for its balances."""
 
 import json
 import os
@@ -150,17 +151,20 @@ def test_payment_across_separate_processes(cli, tmp_path):
             # node <name> address <address> local app port <port> admin <url>
             ports[shipped["localAppPort"]] = int(words[7])
             ports[shipped["adminApiPort"]] = port_of(words[9])
-            nodes[words[1]] = words[3]
+            nodes[words[1]] = {"address": words[3], "admin": words[9]}
     assert sorted(nodes) == ["alice", "bob"]
     assert len(set(ports.values())) == len(ports) == 7
 
     assert answers[("spsp", "send")] == {
-        "source_sent": 100, "delivered_estimate": 100, "packets_fulfilled": 1,
+        "source_sent": 100, "delivered_estimate": 100, "packets_fulfilled": 3,
         "packets_rejected": 0,
     }
     alice = answers[("node", "info")]
-    assert (alice["name"], alice["address"]) == ("alice", nodes["alice"])
+    bob = run("node", "info", "--admin-url", nodes["bob"]["admin"])
+    assert (alice["name"], alice["address"]) == ("alice", nodes["alice"]["address"])
+    assert (bob["name"], bob["address"]) == ("bob", nodes["bob"]["address"])
     assert alice["ilp_balance"] == -100
+    assert bob["ilp_balance"] == 100
     assert [c["direction"] for c in alice["channels"]] == ["outgoing", "incoming"]
     assert alice["ledger_balance"] == 1400
     # bob closes the connector's channel to him at once, as its payee, and
