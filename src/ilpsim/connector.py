@@ -9,7 +9,10 @@ Middleware order on an incoming Prepare is fixed: expiry, maxPacketAmount
 (F08), trust limit (T04), then route lookup (F02, also when the next hop has
 no connected peer). A converted amount too large for an ILP amount (2^64 or
 more) is F08 as well. The trust limit holds the amount on the incoming
-balance, and every Reject after it releases the hold."""
+balance, and every Reject after it releases the hold (see Peer.hold).
+
+A Prepare needs more than MIN_MESSAGE_WINDOW left before its expiry, and is
+forwarded with its expiry EXPIRY_DECREMENT earlier."""
 
 from __future__ import annotations
 
@@ -26,6 +29,9 @@ from .routing import DuplicateRoute, RouteTable
 from .settlement import BalancePolicy, BilateralBalance, policy_from_config
 
 log = logging.getLogger(__name__)
+
+MIN_MESSAGE_WINDOW = timedelta(seconds=1)
+EXPIRY_DECREMENT = timedelta(seconds=1)
 
 
 class DuplicateChild(Exception):
@@ -96,9 +102,6 @@ class Connector:
         clock: Optional[SimClock] = None,
         event_log: EventLog = NULL_LOG,
         name: str = "",
-        min_message_window: float = 1.0,
-        expiry_decrement: float = 1.0,
-        forward_timeout: float = 5.0,
     ):
         if isinstance(own_address, str):
             own_address = ilp.parse_address(own_address)
@@ -108,10 +111,8 @@ class Connector:
         self.clock = clock or SimClock()
         self.events = event_log
         self.name = name or str(own_address)
-        self.min_message_window = timedelta(seconds=min_message_window)
-        self.expiry_decrement = timedelta(seconds=expiry_decrement)
-        self.forward_timeout = forward_timeout
-        self.routes = RouteTable(own_address)
+        self.forward_timeout = 5.0  # scenario.Topology.arm_faults may lower it
+        self.routes = RouteTable()
         self.accounts: dict[str, AccountConfig] = {}
         self.signing_keys: dict[str, "lg.Ed25519PrivateKey"] = {}
         self.peers: dict[str, ConnectorPeer] = {}
@@ -169,17 +170,12 @@ class Connector:
         account = self.accounts.get(account_id)
         if account is None or token != account.secret:
             return False
-        self.attach_endpoint(account_id, endpoint)
-        return True
-
-    def attach_endpoint(self, account_id: str, endpoint: link.LinkEndpoint) -> ConnectorPeer:
-        account = self.accounts[account_id]
         peer = self._new_peer(account, endpoint.peer_auth_name or account.account_id)
         self._serve(peer, endpoint)
         if account.relation == "child":
             self.register_child(peer)
         # static peer/parent: route inserted from config via add_route
-        return peer
+        return True
 
     def listen(self, port: int, host: str = "127.0.0.1") -> link.TcpListener:
         """Accept BTP-over-TCP connections; clients authenticate with their
@@ -198,13 +194,13 @@ class Connector:
         return peer
 
     def establish_channel(self, peer_id: str) -> None:
-        """Open and announce the configured outgoing channel to a peer, unless
-        one is open, asking the peer for its ledger identity first if unknown."""
+        """Open and announce the configured outgoing channel to a peer (see
+        Peer.open_channel)."""
         peer = self.peers[peer_id]
-        amount = peer.account.outgoing_channel_amount
-        if amount <= 0 or peer.balance.outgoing_channel is not None:
-            return
-        peer.open_channel(amount, peer.account.settle_delay, timeout=self.forward_timeout)
+        peer.open_channel(
+            peer.account.outgoing_channel_amount, peer.account.settle_delay,
+            timeout=self.forward_timeout,
+        )
 
     def register_child(self, peer: ConnectorPeer) -> ilp.IlpAddress:
         address = self.address.with_suffix(peer.account.account_id, peer.auth_name)
@@ -250,7 +246,6 @@ class Connector:
         with only its amount and expiry rewritten, and the next hop's Fulfill
         is relayed as the bytes received once its fulfillment matches the
         condition; a Reject is returned decoded, so its code can be read.
-        A Reject after the trust limit releases its hold here, at one site.
         Bytes that are no Prepare raise CodecError."""
         amount, expires_at, condition_b, destination, _payload, head = ilp.read_prepare(data)
         account = from_peer.account
@@ -259,7 +254,7 @@ class Connector:
             self.name, "prepare_in", peer=from_peer.peer_id, amount=amount, condition=condition,
         )
         # 1. expiry
-        if self.clock.now() + self.min_message_window >= expires_at:
+        if self.clock.now() + MIN_MESSAGE_WINDOW >= expires_at:
             return self._reject(ilp.R00_TRANSFER_TIMED_OUT, "insufficient time before expiry")
         # 2. max packet amount
         if account.max_packet_amount is not None and amount > account.max_packet_amount:
@@ -268,14 +263,10 @@ class Connector:
                 f"amount {amount} exceeds maximum of {account.max_packet_amount}",
             )
         # 3. trust limit
-        if not from_peer.balance.on_incoming_prepare(amount):
-            return self._reject(ilp.T04_INSUFFICIENT_LIQUIDITY, "exceeds balance maximum")
-        answer = self._forward(
-            from_peer, data, head, amount, expires_at, condition_b, condition, destination
+        return from_peer.hold(
+            amount, self.address, self._forward,
+            from_peer, data, head, amount, expires_at, condition_b, condition, destination,
         )
-        if isinstance(answer, ilp.RejectPacket):
-            from_peer.balance.rollback_incoming(amount)
-        return answer
 
     def _forward(
         self, from_peer: ConnectorPeer, data: bytes, head: int, amount: int,
@@ -304,7 +295,7 @@ class Connector:
                 ilp.F08_AMOUNT_TOO_LARGE, f"converted amount {out_amount} exceeds 64 bits"
             )
         forwarded = ilp.rewrite_prepare(
-            data, head, out_amount, expires_at - self.expiry_decrement
+            data, head, out_amount, expires_at - EXPIRY_DECREMENT
         )
         self.events.emit(
             self.name, "prepare_forwarded", peer=to_peer.peer_id, amount=out_amount,
@@ -359,8 +350,7 @@ def load_connector(
     """Build a connector from a JSON config dict using the conventional key
     names (ilp_address, backend, spread, accounts{...})."""
     known = {
-        "ilp_address", "backend", "spread", "rates", "accounts", "adminApiPort",
-        "minMessageWindow", "expiryDecrement", "forwardTimeout", "name",
+        "ilp_address", "backend", "spread", "rates", "accounts", "adminApiPort", "name",
         "funding", "ledgers", "btpPort",  # read by the scenario harness or the CLI
     }
     for key in set(config) - known:
@@ -373,9 +363,6 @@ def load_connector(
         clock=clock,
         event_log=event_log,
         name=config.get("name", ""),
-        min_message_window=float(config.get("minMessageWindow", 1.0)),
-        expiry_decrement=float(config.get("expiryDecrement", 1.0)),
-        forward_timeout=float(config.get("forwardTimeout", 5.0)),
     )
     for account_id, acct_cfg in config.get("accounts", {}).items():
         conn.add_account(account_from_config(account_id, acct_cfg))

@@ -82,10 +82,6 @@ class IlpAddress:
         if len(text) > MAX_ADDRESS_LEN:
             raise MalformedAddress("address exceeds 1023 bytes")
 
-    @property
-    def scheme(self) -> str:
-        return self.segments[0]
-
     def __str__(self) -> str:
         return ".".join(self.segments)
 

@@ -212,7 +212,10 @@ class Peer:
 
     def open_channel(self, amount: int, settle_delay: int, timeout: float = 5.0) -> None:
         """Open the outgoing channel and announce it, first asking the peer
-        for its ledger account if it has not given it."""
+        for its ledger account if it has not given it. Does nothing for a
+        non-positive amount or when the channel is open already."""
+        if amount <= 0 or self.balance.outgoing_channel is not None:
+            return
         if self.peer_ledger_account is None:
             self.peer_ledger_account = query(self.endpoint, "ledger_identity", timeout)["account"]
         channel = self.open_outgoing_channel(amount, settle_delay)
@@ -234,8 +237,13 @@ class Peer:
     ) -> None:
         """Record the channel the peer announces, read once from the ledger: it
         must pay this side, be none of `taken`, be paid by the peer's ledger
-        account if known, and hold `min_amount`; its payer becomes that account."""
-        channel = self.ledger.get_channel(json.loads(data)["channel_id"])
+        account if known, and hold `min_amount`; its payer becomes that account.
+        An announce that is no JSON object naming a channel the ledger knows
+        is F00."""
+        try:
+            channel = self.ledger.get_channel(json.loads(data)["channel_id"])
+        except (ValueError, LookupError, TypeError, lg.UnknownChannel) as exc:
+            raise link.PeerError("F00", f"bad channel announce: {exc!r}") from exc
         if channel.destination != self.own_ledger_account:
             raise link.PeerError("F00", "channel does not pay this peer")
         if channel.channel_id in taken or self.peer_ledger_account not in (None, channel.account):
@@ -247,6 +255,23 @@ class Peer:
         self.balance.incoming_channel = channel.channel_id
         self.peer_ledger_account = channel.account
         self.events.emit(self.component, "channel_in", peer=self.peer_id, channel=channel.channel_id)
+
+    # -- incoming Prepares
+
+    def hold(self, amount: int, triggered_by: ilp.IlpAddress, deliver: Callable, *args):
+        """Answer a Prepare of `amount` from this peer with `deliver(*args)`,
+        holding the amount on the incoming balance meanwhile: T04 past the
+        balance maximum, and any Reject releases the hold."""
+        if not self.balance.on_incoming_prepare(amount):
+            return ilp.RejectPacket(
+                code=ilp.T04_INSUFFICIENT_LIQUIDITY,
+                triggered_by=triggered_by,
+                message="exceeds balance maximum",
+            )
+        answer = deliver(*args)
+        if isinstance(answer, ilp.RejectPacket):
+            self.balance.rollback_incoming(amount)
+        return answer
 
     # -- settlement
 

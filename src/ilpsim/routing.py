@@ -14,7 +14,6 @@ class DuplicateRoute(ValueError):
 
 @dataclass
 class RouteTable:
-    own_address: IlpAddress
     entries: dict[tuple[str, ...], str] = field(default_factory=dict)
 
     def insert(self, prefix: IlpAddress | str, next_hop: str) -> None:

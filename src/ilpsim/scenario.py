@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import zlib
 from importlib import resources
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from random import Random
 from typing import Optional
 
@@ -51,14 +51,7 @@ class ScenarioReport:
     events: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "payments": self.payments,
-            "ledgers": self.ledgers,
-            "checks": self.checks,
-            "events": self.events,
-        }
+        return asdict(self)
 
     def ok(self) -> bool:
         return all(v is True for v in self.checks.values())
@@ -107,13 +100,11 @@ class Topology:
             ledger = lg.load_ledger(led_cfg, clock=self.clock)
             self.ledgers[ledger.config.ledger_id] = ledger
         for conn_cfg in self.spec.get("connectors", []):
-            # Setup handshakes always run fault-free with generous timeouts;
-            # the scenario's (possibly tiny) timeouts apply once faults arm.
+            # Setup handshakes always run fault-free with the connector's
+            # generous timeout; the scenario's (possibly tiny) timeouts apply
+            # once faults arm.
             conn = conn_mod.load_connector(
-                {**conn_cfg, "forwardTimeout": 5.0},
-                self.ledgers,
-                clock=self.clock,
-                event_log=self.events,
+                conn_cfg, self.ledgers, clock=self.clock, event_log=self.events
             )
             self.connectors[conn_cfg["name"]] = conn
             for account_id, amount in conn_cfg.get("funding", {}).items():

@@ -19,7 +19,7 @@ import hashlib
 import hmac
 import secrets as _secrets
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import timedelta
 from random import Random
 from typing import Callable, Optional
@@ -30,7 +30,7 @@ from .events import EventLog, NULL_LOG
 
 FRAME_VERSION = 1
 DEFAULT_RETRY_BUDGET = 10
-DEFAULT_PACKET_LIFETIME = 30.0
+PACKET_LIFETIME = timedelta(seconds=30)
 
 
 class PaymentError(Exception):
@@ -173,12 +173,7 @@ class SendReport:
     packets_rejected: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "source_sent": self.source_sent,
-            "delivered_estimate": self.delivered_estimate,
-            "packets_fulfilled": self.packets_fulfilled,
-            "packets_rejected": self.packets_rejected,
-        }
+        return asdict(self)
 
 
 class StreamSender:
@@ -189,14 +184,12 @@ class StreamSender:
         send_fn: Callable[[ilp.PreparePacket, float], ilp.FulfillPacket | ilp.RejectPacket],
         credentials: StreamCredentials,
         clock: Optional[SimClock] = None,
-        packet_lifetime: float = DEFAULT_PACKET_LIFETIME,
         packet_timeout: float = 5.0,
         retry_budget: int = DEFAULT_RETRY_BUDGET,
     ):
         self.send_fn = send_fn
         self.credentials = credentials
         self.clock = clock or SimClock()
-        self.packet_lifetime = packet_lifetime
         self.packet_timeout = packet_timeout
         self.retry_budget = retry_budget
         self.state = "open"
@@ -242,7 +235,7 @@ class StreamSender:
         sequence = self._sequence
         self._sequence += 1
         data = packet_data(sequence)
-        expires_at = self.clock.now() + timedelta(seconds=self.packet_lifetime)
+        expires_at = self.clock.now() + PACKET_LIFETIME
         _fulfillment, condition = packet_condition(self.credentials.shared_secret, data)
         prepare = ilp.PreparePacket(
             destination=self.credentials.destination_account,

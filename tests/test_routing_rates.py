@@ -11,7 +11,7 @@ from ilpsim.routing import DuplicateRoute, RouteTable
 
 
 def table():
-    t = RouteTable(parse_address("g.conn1"))
+    t = RouteTable()
     t.insert("g.conn1", "A")
     t.insert("g.conn1.ilsp_clients.mduni", "B")
     return t
@@ -26,7 +26,7 @@ def test_shorter_prefix_covers_rest():
 
 
 def test_empty_table_misses():
-    t = RouteTable(parse_address("g.x"))
+    t = RouteTable()
     assert t.lookup(parse_address("g.anything")) is None
 
 
@@ -75,7 +75,7 @@ prefixes = st.lists(
     dest=st.lists(st.sampled_from(["g", "a", "b", "c", "d"]), min_size=1, max_size=6),
 )
 def test_lookup_matches_linear_scan_oracle(prefixes, dest):
-    t = RouteTable(parse_address("g.own"))
+    t = RouteTable()
     entries = [(p, f"hop{i}") for i, p in enumerate(prefixes)]
     for p, hop in entries:
         t.insert(p, hop)
@@ -89,7 +89,7 @@ def test_lookup_matches_linear_scan_oracle(prefixes, dest):
     dest=st.lists(st.sampled_from(["g", "a", "b", "c", "d"]), min_size=1, max_size=6),
 )
 def test_catch_all_route_matches_linear_scan_oracle(prefixes, dest):
-    t = RouteTable(parse_address("g.own"))
+    t = RouteTable()
     entries = [(p, f"hop{i}") for i, p in enumerate(prefixes)]
     for p, hop in entries:
         t.insert(p, hop)

@@ -249,6 +249,27 @@ def test_advance_clock_and_cleanup_actions():
     assert bob_channels and all(c["state"] == "closed" for c in bob_channels)
 
 
+def test_cleanup_with_zero_settle_delay_closes_both_channels():
+    """A node with settleDelay 0 closes its outgoing channel in the same
+    cleanup that closes its incoming one, with no clock advance."""
+    spec = copy.deepcopy(scenario.load_builtin("xrp_single_connector"))
+    spec["nodes"][1]["uplink"]["settleDelay"] = 0
+    spec["actions"] = [
+        {"action": "pay", "from": "alice", "to": "bob", "amount": 550},
+        {"action": "cleanup", "node": "bob"},
+    ]
+    report = scenario.run_scenario(spec, seed=0)
+    assert report.ok(), report.checks
+    (cleanup,) = [p for p in report.payments if p["action"] == "cleanup"]
+    assert (len(cleanup["closed"]), cleanup["closing"]) == (2, [])
+    bob_channels = [
+        c
+        for c in report.ledgers["xrp"]["channels"]
+        if "bob" in (c["account"], c["destination"])
+    ]
+    assert len(bob_channels) == 2 and all(c["state"] == "closed" for c in bob_channels)
+
+
 def test_kill_link_then_conservation():
     spec = copy.deepcopy(scenario.load_builtin("xrp_single_connector"))
     spec["actions"] = [

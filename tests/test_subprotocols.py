@@ -5,12 +5,13 @@ the outbound path of the uplink and a local app when the other side answers
 an "ilp" entry badly."""
 
 import json
+import logging
 from datetime import datetime, timezone
 
 import pytest
 
 from ilpsim import connector as conn_mod
-from ilpsim import ilp, ledger as lg, link, peering, scenario, stream, uplink
+from ilpsim import btp, ilp, ledger as lg, link, peering, scenario, stream, uplink
 from ilpsim.events import NULL_LOG
 from ilpsim.localapp import LocalApp
 
@@ -203,6 +204,31 @@ def test_channel_paid_by_another_account_refused_f00():
     finally:
         alice.close()
         bob.close()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"channel_id": "no-such-channel"}', b"not json", b'{"owner_account": "alice"}'],
+    ids=["unknown-channel", "not-json", "no-channel-id"],
+)
+def test_bad_channel_announce_refused_f00(caplog, data):
+    """An announce that names no channel the ledger knows is the peer's
+    mistake: F00, and no handler failure logged."""
+    ledger = xrp_ledger()
+    conn = make_connector(ledger)
+    node = make_node(ledger)
+    t_node, t_conn = link.memory_pair()
+    conn.accept_transport("alice", t_conn)
+    node.connect(t_node)
+    try:
+        entry = btp.ProtocolEntry("channel", btp.CONTENT_STRUCTURED, data)
+        with pytest.raises(link.PeerError) as err:
+            node.parent.endpoint.request([entry], timeout=2)
+        assert err.value.code == "F00"
+        assert conn.peers["alice.alice"].balance.incoming_channel is None
+        assert [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR] == []
+    finally:
+        node.close()
 
 
 def test_components_built_without_a_log_keep_no_events():

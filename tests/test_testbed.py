@@ -7,7 +7,8 @@ The test runs the README's multi-process block line by line, in its order,
 on the configs shipped under `testbed/`. It rewrites only ports: each port
 key of a config becomes 0, and every port the README or a config names is
 replaced, in URLs, URIs and options, by the port bound in its place. After
-the block it asks bob's node, as it asked alice's, for its balances."""
+the block it asks bob's node, as it asked alice's, for its balances, and
+asks the connector's admin API for its address, accounts and routes."""
 
 import json
 import os
@@ -21,6 +22,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
+from ilpsim.admin import call_json
 from ilpsim.ledger_http import RemoteLedger
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -147,6 +149,7 @@ def test_payment_across_separate_processes(cli, tmp_path):
         elif verb == ("connector", "start"):
             # connector conn1 btp port <port> admin <url>
             ports[shipped["btpPort"]] = int(words[4])
+            conn_admin = words[6]
         else:
             # node <name> address <address> local app port <port> admin <url>
             ports[shipped["localAppPort"]] = int(words[7])
@@ -174,3 +177,17 @@ def test_payment_across_separate_processes(cli, tmp_path):
     ledger = RemoteLedger(ledger_url)
     assert ledger.account_info("bob").balance == 1400
     assert ledger.total_value() == GENESIS
+
+    info = call_json("GET", f"{conn_admin}/info")
+    assert info["address"] == "g.conn1"
+    accounts = call_json("GET", f"{conn_admin}/accounts")
+    assert accounts == info["accounts"]
+    assert {peer: entry["balance"] for peer, entry in accounts.items()} == {
+        "alice.alice": 100, "bob.bob": -100,
+    }
+    assert call_json("GET", f"{conn_admin}/routes") == {
+        "routes": [
+            {"prefix": "g.conn1.alice.alice", "next_hop": "alice.alice"},
+            {"prefix": "g.conn1.bob.bob", "next_hop": "bob.bob"},
+        ]
+    }
