@@ -96,21 +96,19 @@ class ConnectorPeer(peering.Peer):
 class Connector:
     def __init__(
         self,
-        own_address: ilp.IlpAddress | str,
+        own_address: str,
         backend: rates.RateBackend,
         ledgers: dict[str, lg.Ledger],
         clock: Optional[SimClock] = None,
         event_log: EventLog = NULL_LOG,
         name: str = "",
     ):
-        if isinstance(own_address, str):
-            own_address = ilp.parse_address(own_address)
-        self.address = own_address
+        self.address = ilp.parse_address(own_address)
         self.backend = backend
         self.ledgers = ledgers
         self.clock = clock or SimClock()
         self.events = event_log
-        self.name = name or str(own_address)
+        self.name = name or self.address
         self.forward_timeout = 5.0  # scenario.Topology.arm_faults may lower it
         self.routes = RouteTable()
         self.accounts: dict[str, AccountConfig] = {}
@@ -173,8 +171,13 @@ class Connector:
         peer = self._new_peer(account, endpoint.peer_auth_name or account.account_id)
         self._serve(peer, endpoint)
         if account.relation == "child":
-            self.register_child(peer)
-        # static peer/parent: route inserted from config via add_route
+            try:
+                self.register_child(peer)
+            except (ilp.MalformedAddress, DuplicateChild):
+                with self._lock:  # a refused child leaves no peer behind
+                    del self.peers[peer.peer_id]
+                raise
+        # static peer/parent: route inserted from config into self.routes
         return True
 
     def listen(self, port: int, host: str = "127.0.0.1") -> link.TcpListener:
@@ -202,18 +205,14 @@ class Connector:
             timeout=self.forward_timeout,
         )
 
-    def register_child(self, peer: ConnectorPeer) -> ilp.IlpAddress:
+    def register_child(self, peer: ConnectorPeer) -> None:
         address = self.address.with_suffix(peer.account.account_id, peer.auth_name)
         peer.child_address = address
         try:
             self.routes.insert(address, peer.peer_id)
         except DuplicateRoute as exc:
-            raise DuplicateChild(str(address)) from exc
-        self.events.emit(self.name, "child_registered", peer=peer.peer_id, address=str(address))
-        return address
-
-    def add_route(self, prefix: str, peer_id: str) -> None:
-        self.routes.insert(prefix, peer_id)
+            raise DuplicateChild(address) from exc
+        self.events.emit(self.name, "child_registered", peer=peer.peer_id, address=address)
 
     # -- link message handling
 
@@ -325,7 +324,7 @@ class Connector:
 
     def snapshot(self) -> dict:
         return {
-            "address": str(self.address),
+            "address": self.address,
             "accounts": {
                 peer_id: {
                     "account": peer.account.account_id,

@@ -8,6 +8,9 @@ Wire layout (big-endian throughout):
     fulfill = fulfillment(32) || var(data)
     reject  = code(3 ASCII) || var(triggered_by) || var(message) || var(data)
 
+An ILP address is an `IlpAddress`, a `str` that is checked once, when it is
+made, and goes to the wire, to events and to JSON as it is.
+
 A hop that only relays packets works on the bytes: `read_prepare` and
 `read_fulfill` check a packet as `decode_packet` does (which is built on
 them) and return its fields, and `rewrite_prepare` writes a new amount and
@@ -69,33 +72,33 @@ class BadExpiryDigits(CodecError):
     pass
 
 
-@dataclass(frozen=True)
-class IlpAddress:
-    segments: tuple[str, ...]
+class IlpAddress(str):
+    """An ILP address: at most 1023 bytes of dot-separated segments."""
 
-    def __post_init__(self):
-        text = ".".join(self.segments)
-        # There is at least one segment and each is valid exactly when the
-        # text matches and its only dots are the len - 1 separators.
-        if not _ADDRESS_RE.fullmatch(text) or text.count(".") != len(self.segments) - 1:
-            raise MalformedAddress(f"bad address segments {self.segments!r}")
+    __slots__ = ()
+
+    def __new__(cls, text: str) -> "IlpAddress":
+        if not _ADDRESS_RE.fullmatch(text):
+            raise MalformedAddress(f"bad address {text!r}")
         if len(text) > MAX_ADDRESS_LEN:
             raise MalformedAddress("address exceeds 1023 bytes")
+        return super().__new__(cls, text)
 
-    def __str__(self) -> str:
-        return ".".join(self.segments)
+    @property
+    def segments(self) -> tuple[str, ...]:
+        return tuple(self.split("."))
 
     def is_prefix_of(self, other: "IlpAddress") -> bool:
-        return self.segments == other.segments[: len(self.segments)]
+        return other == self or other.startswith(self + ".")
 
     def with_suffix(self, *segments: str) -> "IlpAddress":
-        return IlpAddress(self.segments + tuple(segments))
+        # the whole is checked as an address, but a dot would make two segments
+        if any("." in segment for segment in segments):
+            raise MalformedAddress(f"bad address segments {segments!r}")
+        return IlpAddress(".".join((self, *segments)))
 
 
-def parse_address(text: str) -> IlpAddress:
-    if not text:
-        raise MalformedAddress("empty address")
-    return IlpAddress(tuple(text.split(".")))
+parse_address = IlpAddress
 
 
 def condition_from_fulfillment(fulfillment: bytes) -> bytes:
@@ -186,7 +189,7 @@ def parse_expiry(digits: str) -> datetime:
 
 def encode_packet(p: IlpPacket) -> bytes:
     if isinstance(p, PreparePacket):
-        destination = str(p.destination).encode("ascii")
+        destination = p.destination.encode("ascii")
         ptype = TYPE_PREPARE
         contents = b"".join((
             p.amount.to_bytes(8, "big"),
@@ -204,7 +207,7 @@ def encode_packet(p: IlpPacket) -> bytes:
         ptype = TYPE_REJECT
         contents = b"".join((
             p.code.encode("ascii"),
-            encode_var_octets(str(p.triggered_by).encode("ascii")),
+            encode_var_octets(p.triggered_by.encode("ascii")),
             encode_var_octets(p.message.encode("utf-8")),
             encode_var_octets(p.data),
         ))

@@ -65,7 +65,7 @@ def ilp_entry(packet_bytes: bytes) -> btp.ProtocolEntry:
 def ildcp_entry(address: ilp.IlpAddress, asset_code: str, asset_scale: int) -> btp.ProtocolEntry:
     return json_entry(
         "ildcp",
-        {"ilp_address": str(address), "asset_code": asset_code, "asset_scale": asset_scale},
+        {"ilp_address": address, "asset_code": asset_code, "asset_scale": asset_scale},
     )
 
 

@@ -2,41 +2,38 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .ilp import IlpAddress, parse_address
+from .ilp import parse_address
 
 
 class DuplicateRoute(ValueError):
     pass
 
 
-@dataclass
 class RouteTable:
-    entries: dict[tuple[str, ...], str] = field(default_factory=dict)
+    def __init__(self):
+        self.entries: dict[str, str] = {}  # prefix text -> next hop; "" is the catch-all
 
-    def insert(self, prefix: IlpAddress | str, next_hop: str) -> None:
-        if isinstance(prefix, str):
-            prefix = parse_address(prefix)
-        if prefix.segments in self.entries:
-            raise DuplicateRoute(str(prefix))
-        self.entries[prefix.segments] = next_hop
+    def insert(self, prefix: str, next_hop: str) -> None:
+        prefix = parse_address(prefix)
+        if prefix in self.entries:
+            raise DuplicateRoute(prefix)
+        self.entries[prefix] = next_hop
 
-    def remove(self, prefix: IlpAddress | str) -> None:
-        if isinstance(prefix, str):
-            prefix = parse_address(prefix)
-        self.entries.pop(prefix.segments, None)
+    def remove(self, prefix: str) -> None:
+        self.entries.pop(prefix, None)
 
-    def lookup(self, destination: IlpAddress) -> Optional[str]:
-        """Longest-prefix match: probe from the full address down to the empty prefix."""
-        for k in range(len(destination.segments), -1, -1):
-            if (hop := self.entries.get(destination.segments[:k])) is not None:
-                return hop
-        return None
+    def lookup(self, destination: str) -> Optional[str]:
+        """Longest-prefix match: the full address, then each prefix cut at a dot, down to ""."""
+        prefix, get = destination, self.entries.get
+        while (hop := get(prefix)) is None and prefix:
+            prefix = prefix.rpartition(".")[0]
+        return hop
 
     def as_list(self) -> list[dict]:
+        # in segment order: a text sort would put "g.a-b" before "g.a.c"
         return [
-            {"prefix": ".".join(prefix), "next_hop": hop}
-            for prefix, hop in sorted(self.entries.items())
+            {"prefix": prefix, "next_hop": hop}
+            for prefix, hop in sorted(self.entries.items(), key=lambda e: e[0].split("."))
         ]

@@ -113,7 +113,7 @@ class Topology:
             self._wire_peering(peering_cfg)
         for route in self.spec.get("routes", []):
             conn = self.connectors[route["connector"]]
-            conn.add_route(route["prefix"], route["peer"])
+            conn.routes.insert(route["prefix"], route["peer"])
         for node_cfg in self.spec.get("nodes", []):
             self._wire_node(node_cfg)
 

@@ -94,7 +94,7 @@ class SpspServer(AdminServer):
     def _credentials(self, _request: bytes) -> dict:
         creds = self.stream_server.generate_credentials()
         return {
-            "destination_account": str(creds.destination_account),
+            "destination_account": creds.destination_account,
             "shared_secret": base64.b64encode(creds.shared_secret).decode(),
         }
 

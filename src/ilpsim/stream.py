@@ -157,12 +157,10 @@ class StreamServer:
         )
 
     def _extract_token(self, destination: ilp.IlpAddress) -> Optional[str]:
-        if self.base_address is None:
+        base = self.base_address
+        if base is None or base == destination or not base.is_prefix_of(destination):
             return None
-        if not self.base_address.is_prefix_of(destination):
-            return None
-        extra = destination.segments[len(self.base_address.segments) :]
-        return extra[0] if extra else None
+        return destination.segments[len(base.segments)]
 
 
 @dataclass

@@ -16,6 +16,8 @@ from .settlement import BalancePolicy, BilateralBalance, policy_from_config
 log = logging.getLogger(__name__)
 
 DEFAULT_LOCAL_APP_PORT = 7768
+# triggered_by of the Rejects a node makes before it has learnt its address
+NODE_ADDRESS = ilp.parse_address("self.node")
 
 
 @dataclass(frozen=True)
@@ -105,7 +107,7 @@ class UplinkNode:
         self.address = ilp.parse_address(info["ilp_address"])
         if self.stream_server is not None:
             self.stream_server.base_address = self.address.with_suffix("local")
-        self.events.emit(self.parent.component, "address_assigned", address=str(self.address))
+        self.events.emit(self.parent.component, "address_assigned", address=self.address)
         self.parent.open_channel(
             self.config.channel_amount, self.config.settle_delay, timeout=self.request_timeout
         )
@@ -122,7 +124,7 @@ class UplinkNode:
             raise link.LinkError("uplink is not connected")
         timeout = timeout if timeout is not None else self.request_timeout
         packet = peering.send_prepare(
-            self.parent.endpoint, prepare, timeout, self.address or ilp.parse_address("self.node")
+            self.parent.endpoint, prepare, timeout, self.address or NODE_ADDRESS
         )
         if isinstance(packet, ilp.FulfillPacket) and ilp.verify_fulfillment(
             packet.fulfillment, prepare.condition
@@ -144,7 +146,7 @@ class UplinkNode:
         if self.address is None or not self.address.is_prefix_of(prepare.destination):
             return ilp.RejectPacket(
                 code=ilp.F02_UNREACHABLE,
-                triggered_by=self.address or ilp.parse_address("self.node"),
+                triggered_by=self.address or NODE_ADDRESS,
                 message="not my address",
             )
         return self.parent.hold(prepare.amount, self.address, self._deliver_locally, prepare)
@@ -201,7 +203,7 @@ class UplinkNode:
         account = self.ledger.account_info(self.config.ledger_account)
         return {
             "name": self.config.name,
-            "address": str(self.address) if self.address else None,
+            "address": self.address,
             "asset_code": self.config.asset_code,
             "asset_scale": self.config.asset_scale,
             "ilp_balance": self.parent.balance.value,

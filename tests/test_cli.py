@@ -8,9 +8,11 @@ import pytest
 from click.testing import CliRunner
 from importlib import resources
 
+from ilpsim import scenario
 from ilpsim.cli import main
 
 BUILTINS = ["self_swap", "xrp_eth_one_connector", "xrp_eth_two_connectors", "xrp_single_connector"]
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -39,6 +41,31 @@ def test_scenario_run_out_file(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert json.loads(out.read_text())["seed"] == 0
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_scenario_run_out_file_matches_golden(runner, tmp_path, name):
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["scenario", "run", name, "--seed", "0", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (GOLDEN / f"{name}_seed0.json").read_bytes()
+
+
+def test_scenario_run_with_faults_writes_the_report_of_its_plan(runner, tmp_path):
+    """The CLI sets no timeouts, so its report is compared with a run at the
+    spec's own, not with the golden faulty files (which use short ones)."""
+    out = tmp_path / "report.json"
+    result = runner.invoke(
+        main,
+        ["scenario", "run", "xrp_eth_two_connectors", "--seed", "0",
+         "--drop-rate", "0.1", "--duplicate-rate", "0.05", "--out", str(out)],
+    )
+    report = scenario.run_scenario(
+        scenario.load_builtin("xrp_eth_two_connectors"), 0,
+        faults={"drop_rate": 0.1, "duplicate_rate": 0.05},
+    )
+    assert out.read_text() == json.dumps(report.to_json(), indent=2) + "\n"
+    assert (result.exit_code == 0) == report.ok(), result.output
 
 
 def test_scenario_run_spec_file(runner, tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 from datetime import datetime, timezone
 
 import pytest
@@ -22,10 +23,24 @@ def test_parse_address_single_segment():
     assert ilp.parse_address("g").segments == ("g",)
 
 
+def test_address_is_its_text():
+    addr = ilp.parse_address("g.a")
+    assert addr == "g.a"
+    assert hash(addr) == hash("g.a")
+    assert json.dumps({"address": addr}) == '{"address": "g.a"}'
+
+
 @pytest.mark.parametrize("bad", ["", "g..x", ".g", "g.", "g.a!b", "g." + "a" * 1024])
 def test_parse_address_rejects(bad):
     with pytest.raises(ilp.MalformedAddress):
         ilp.parse_address(bad)
+
+
+# a dot inside one segment, an empty one, and a result over 1023 bytes
+@pytest.mark.parametrize("segment", ["b.c", "", "b" * 1020])
+def test_with_suffix_rejects(segment):
+    with pytest.raises(ilp.MalformedAddress):
+        ilp.parse_address("g.a").with_suffix(segment)
 
 
 def test_prefix_relation():
@@ -37,6 +52,7 @@ def test_prefix_relation():
     assert not b.is_prefix_of(a)
     # segment boundaries matter: "g.conn" is not a prefix of "g.conn1"
     assert not ilp.parse_address("g.conn").is_prefix_of(a)
+    assert not ilp.parse_address("g.a").is_prefix_of(ilp.parse_address("g.a-b"))
 
 
 def test_condition_from_fulfillment_zero():
@@ -119,7 +135,7 @@ segments = st.text(
     alphabet="ABCXYZabcxyz019_~-", min_size=1, max_size=8
 )
 addresses = st.builds(
-    ilp.IlpAddress, st.lists(segments, min_size=1, max_size=6).map(tuple)
+    ilp.IlpAddress, st.lists(segments, min_size=1, max_size=6).map(".".join)
 )
 timestamps = st.integers(min_value=0, max_value=2**31).map(
     lambda s: datetime.fromtimestamp(s, tz=timezone.utc)

@@ -50,6 +50,13 @@ def test_duplicate_prefix_rejected():
         t.insert("g.conn1", "C")
 
 
+def test_as_list_in_segment_order():
+    t = RouteTable()
+    for prefix in ("g.a-b", "g.a.c", "g.a"):
+        t.insert(prefix, "A")
+    assert [r["prefix"] for r in t.as_list()] == ["g.a", "g.a.c", "g.a-b"]
+
+
 def brute_force_lookup(entries, destination):
     best, hop = None, None
     for prefix, next_hop in entries:
@@ -95,7 +102,7 @@ def test_catch_all_route_matches_linear_scan_oracle(prefixes, dest):
         t.insert(p, hop)
     # An IlpAddress needs a segment, so the empty prefix goes into the table
     # directly; the oracle, over parsed prefixes, falls back to it.
-    t.entries[()] = "catch-all"
+    t.entries[""] = "catch-all"
     destination = parse_address(".".join(dest))
     assert t.lookup(destination) == (brute_force_lookup(entries, destination) or "catch-all")
 

@@ -280,6 +280,22 @@ def test_duplicate_child_refused_at_authentication():
         listener.close()
 
 
+def test_child_refused_for_its_address_leaves_no_peer():
+    """A child whose auth name holds a dot gets no address; it is refused,
+    and so is its next try, for the same reason and not as a duplicate."""
+    ledger = xrp_ledger()
+    conn = make_connector(ledger)
+    for _attempt in range(2):
+        node = make_node(ledger, fund=False, name="a.b", token="alice-pw")
+        t_node, t_conn = link.memory_pair()
+        conn.accept_transport("alice", t_conn)
+        with pytest.raises(link.AuthFailed, match="bad address segments"):
+            node.connect(t_node)
+        node.close()
+        assert conn.peers == {}
+        assert conn.snapshot()["accounts"] == {}
+
+
 PREPARE = ilp.PreparePacket(
     destination=ilp.parse_address("g.conn1.bob.bob.x"),
     amount=10,

@@ -23,7 +23,11 @@ from urllib.parse import urlsplit
 import pytest
 
 from ilpsim.admin import call_json
+from ilpsim.connector import account_from_config
 from ilpsim.ledger_http import RemoteLedger
+from ilpsim.link import parse_btp_uri
+from ilpsim.settlement import check_peering_compat
+from ilpsim.uplink import uplink_from_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -55,6 +59,25 @@ def readme_commands() -> list[list[str]]:
 
 def test_readme_block_has_the_tested_verbs():
     assert [tuple(args[:2]) for args in readme_commands()] == VERBS
+
+
+NODE_CONFIGS = sorted(
+    path for path in (ROOT / "testbed").glob("*.json") if "server" in json.loads(path.read_text())
+)
+
+
+@pytest.mark.parametrize("path", NODE_CONFIGS, ids=lambda path: path.stem)
+def test_shipped_node_config_matches_its_connector_account(path):
+    """Each node and the connector account its `server` URI names agree on
+    the token, the asset, and balance policies that can settle."""
+    cfg = json.loads(path.read_text())
+    uri = parse_btp_uri(cfg["server"])
+    accounts = json.loads((ROOT / "testbed" / "connector.json").read_text())["accounts"]
+    account = account_from_config(uri.name, accounts[uri.name])
+    node = uplink_from_config(cfg)
+    assert check_peering_compat(node.policy, account.policy)
+    assert uri.token == account.secret
+    assert (node.asset_code, node.asset_scale) == (account.asset_code, account.asset_scale)
 
 
 def rebind(text: str, ports: dict[int, int]) -> str:
