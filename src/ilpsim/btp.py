@@ -10,15 +10,16 @@ The entry count is itself length-prefixed: a count below 256 is encoded as
 0x01 followed by the count byte, matching the "01 01" bytes in observed
 captures.
 
-Frames and entries are immutable named tuples. Their constructors check
-every field; `decode_frame` makes the same checks itself in its one pass
-over the bytes (names of 1-255 ASCII bytes, content types 0-2, a 32-bit
-request id) and then builds the tuples without checking again.
+Frames and entries are immutable named tuples, and their constructors are
+the one place each field is checked: a name of 1-255 ASCII characters, a
+content type 0-2, a frame type and a 32-bit request id. A link carries these
+tuples; only its TCP transport encodes them, so `encode_frame` writes a
+checked frame as it is and `decode_frame` builds its tuples through the same
+constructors.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import NamedTuple
 
 from .wire import (
@@ -28,7 +29,8 @@ from .wire import (
     LengthMismatch,
     Truncated,
     encode_length,
-    read_length,
+    encode_var_octets,
+    read_exact,
     read_var_octets,
 )
 
@@ -43,9 +45,6 @@ CONTENT_TEXT = 1
 CONTENT_STRUCTURED = 2
 
 _new = tuple.__new__
-_HEAD = struct.Struct(">BI")  # type || request_id
-# _COUNTS[n]: the count prefix of a frame with n < 256 entries.
-_COUNTS = tuple(b"\x01" + BYTES[n] for n in range(256))
 
 
 class UnknownFrameType(CodecError):
@@ -62,8 +61,8 @@ class ProtocolEntry(_EntryFields):
     __slots__ = ()
 
     def __new__(cls, name: str, content_type: int, data: bytes):
-        if not 1 <= len(name) <= 255:
-            raise ValueError("entry name must be 1-255 bytes")
+        if not (1 <= len(name) <= 255 and name.isascii()):
+            raise ValueError("entry name must be 1-255 ASCII characters")
         if content_type not in (0, 1, 2):
             raise ValueError(f"bad content_type {content_type}")
         return _new(cls, (name, content_type, data))
@@ -93,10 +92,7 @@ class BtpFrame(_FrameFields):
 
 
 def _encode_count(count: int) -> bytes:
-    if count < 256:
-        return _COUNTS[count]
-    raw = count.to_bytes((count.bit_length() + 7) // 8, "big")
-    return encode_length(len(raw)) + raw
+    return encode_var_octets(count.to_bytes(max(1, (count.bit_length() + 7) // 8), "big"))
 
 
 def read_count(buf: bytes, offset: int) -> tuple[int, int]:
@@ -108,72 +104,42 @@ def read_count(buf: bytes, offset: int) -> tuple[int, int]:
 
 
 def encode_frame(f: BtpFrame) -> bytes:
+    """Encode a frame. Its fields were checked when it was made; a body or
+    data of more than 65,535 bytes raises ValueError."""
     parts = [_encode_count(len(f.entries))]
     for name, content_type, data in f.entries:
-        name_b = name.encode("ascii")
         parts += (
-            encode_length(len(name_b)), name_b, BYTES[content_type], encode_length(len(data)),
-            data,
+            encode_length(len(name)), name.encode("ascii"), BYTES[content_type],
+            encode_length(len(data)), data,
         )
     body = b"".join(parts)
-    return b"".join((_HEAD.pack(f.frame_type, f.request_id), encode_length(len(body)), body))
+    return b"".join(
+        (BYTES[f.frame_type], f.request_id.to_bytes(4, "big"), encode_length(len(body)), body)
+    )
 
 
 def decode_frame(data: bytes) -> BtpFrame:
-    """Decode one BTP frame in one pass. Bad bytes raise only CodecError: an
-    entry whose name or content type is no valid value raises InvalidField.
-    Each field is checked here once, so the tuples are built unchecked."""
-    n = len(data)
-    if not n:
+    """Decode one BTP frame. Bad bytes raise only CodecError. Each entry is
+    read whole (Truncated) before it is built, and a name or content type
+    that the ProtocolEntry constructor refuses raises InvalidField."""
+    if not data:
         raise Truncated("empty input")
     if data[0] not in FRAME_TYPES:
         raise UnknownFrameType(f"unknown BTP frame type {data[0]}")
-    if n < 5:
-        raise Truncated("truncated request_id")
-    frame_type, request_id = _HEAD.unpack_from(data)
-    # The body runs to the end of the frame, so every field inside it is
-    # bounded by n.
-    if n > 5 and data[5] < 128:
-        length, off = data[5], 6
-    else:
-        length, off = read_length(data, 5)
-    if off + length != n:
-        if off + length > n:
-            raise Truncated(f"declared {length} bytes, only {n - off} present")
-        raise LengthMismatch(f"{n - off - length} trailing bytes after frame")
-    if n - off > 1 and data[off] == 1:
-        count, off = data[off + 1], off + 2
-    else:
-        count, off = read_count(data, off)
+    request_id, _ = read_exact(data, 1, 4, "request_id")
+    body, end = read_var_octets(data, 5)
+    if end != len(data):
+        raise LengthMismatch(f"{len(data) - end} trailing bytes after frame")
+    count, off = read_count(body, 0)
     entries = []
     for _ in range(count):
-        if off < n and data[off] < 128:
-            length, off = data[off], off + 1
-        else:
-            length, off = read_length(data, off)
-        end = off + length
-        if end > n:
-            raise Truncated(f"declared {length} bytes, only {n - off} present")
-        name = data[off:end]
-        if end >= n:
-            raise Truncated("truncated content_type")
-        content_type = data[end]
-        off = end + 1
-        if off < n and data[off] < 128:
-            length, off = data[off], off + 1
-        else:
-            length, off = read_length(data, off)
-        end = off + length
-        if end > n:
-            raise Truncated(f"declared {length} bytes, only {n - off} present")
-        if not 1 <= len(name) <= 255:
-            raise InvalidField("entry name must be 1-255 bytes")
-        if not name.isascii():
-            raise InvalidField("entry name is not ASCII")
-        if content_type > 2:
-            raise InvalidField(f"bad content_type {content_type}")
-        entries.append(_new(ProtocolEntry, (name.decode("ascii"), content_type, data[off:end])))
-        off = end
-    if off != n:
+        name, off = read_var_octets(body, off)
+        content_type, off = read_exact(body, off, 1, "content_type")
+        payload, off = read_var_octets(body, off)
+        try:
+            entries.append(ProtocolEntry(name.decode("ascii"), content_type[0], payload))
+        except ValueError as exc:  # a UnicodeDecodeError too
+            raise InvalidField(str(exc)) from exc
+    if off != len(body):
         raise LengthMismatch("trailing bytes inside frame body")
-    return _new(BtpFrame, (frame_type, request_id, tuple(entries)))
+    return BtpFrame(data[0], int.from_bytes(request_id, "big"), tuple(entries))

@@ -193,7 +193,13 @@ class Connector:
         peer = self._new_peer(account, auth_name)
         endpoint = link.LinkEndpoint(transport)
         self._serve(peer, endpoint)
-        endpoint.authenticate(auth_name, token)
+        try:
+            endpoint.authenticate(auth_name, token)
+        except link.LinkError:
+            endpoint.close()
+            with self._lock:  # a refused dial leaves no peer behind
+                del self.peers[peer.peer_id]
+            raise
         return peer
 
     def establish_channel(self, peer_id: str) -> None:

@@ -10,6 +10,12 @@ are reused, and also serve `admin`'s HTTP connections. Every listening
 socket, BTP or HTTP, is a `TcpServer` with one accept thread. A
 fault-injecting wrapper can drop or duplicate frames at this boundary.
 
+Transports carry `btp.BtpFrame` objects. Only TCP encodes them: its `send`
+encodes, and the endpoint's reader decodes and drops a frame that does not
+decode. A memory link applies no wire size limit, so a reply with a body
+over 65,535 bytes arrives there and is answered T00 over TCP; no handler
+here builds one, as an ILP packet stays under 33 KB.
+
 A memory transport is `inline`: a request's answer arrives inside `send`,
 or never, so the request reads it at once; a frame sent to a memory half
 with no endpoint is lost, as a dropped frame is. A TCP request waits on an
@@ -78,8 +84,8 @@ class PeerError(LinkError):
 
 # --- transports -------------------------------------------------------------
 #
-# A transport carries whole frames in order and delivers them to the
-# LinkEndpoint attached to it: `attach(endpoint)`, `send(data)`, `close()`.
+# A transport carries whole frames (`btp.BtpFrame`) in order and delivers them
+# to the LinkEndpoint attached to it: `attach(endpoint)`, `send(frame)`, `close()`.
 # `inline` tells whether `send` handles the frame on the calling thread, so
 # that any answer has come back before `send` returns.
 
@@ -87,8 +93,8 @@ class PeerError(LinkError):
 class MemoryTransport:
     """One half of an in-process link (see memory_pair).
 
-    `send` delivers a frame by calling the other half's endpoint on the
-    sender's thread; nothing is queued and no thread is started. A frame
+    `send` hands the frame to the other half's endpoint on the sender's
+    thread; nothing is encoded or queued and no thread is started. A frame
     sent to a half with no endpoint is lost. Closing either half closes both
     and fails the pending requests of both endpoints at once.
     """
@@ -108,13 +114,13 @@ class MemoryTransport:
                 return
         endpoint._shut(LinkClosed("link closed"))
 
-    def send(self, data: bytes) -> None:
+    def send(self, frame: btp.BtpFrame) -> None:
         with self._lock:
             if self._closed:
                 raise LinkClosed("transport closed")
             endpoint = self.peer._endpoint
         if endpoint is not None:
-            endpoint._receive(data)
+            endpoint._receive(frame)
 
     def close(self) -> None:
         # Shut the endpoints under the lock: a reply that finds the link
@@ -137,8 +143,9 @@ def memory_pair() -> tuple[MemoryTransport, MemoryTransport]:
 
 
 class TcpTransport:
-    """Length-prefixed message framing over a TCP socket. Answers come on
-    the endpoint's reader thread."""
+    """Length-prefixed message framing over a TCP socket: `send` encodes
+    each frame, and `recv` returns the next frame's bytes, for the
+    endpoint's reader thread to decode. Answers come on that thread."""
 
     inline = False
 
@@ -157,7 +164,8 @@ class TcpTransport:
         """Start the endpoint's reader thread on this socket."""
         threading.Thread(target=endpoint._read_loop, daemon=True).start()
 
-    def send(self, data: bytes) -> None:
+    def send(self, frame: btp.BtpFrame) -> None:
+        data = btp.encode_frame(frame)  # a ValueError if the wire cannot carry it
         with self._send_lock:
             try:
                 self._sock.sendall(struct.pack(">I", len(data)) + data)
@@ -215,7 +223,7 @@ class FaultPlan:
 
 
 class FaultyTransport:
-    """Wraps a transport, applying a seeded fault plan to sends."""
+    """Wraps a transport, applying a seeded fault plan to the frames it sends."""
 
     def __init__(self, inner, plan: FaultPlan, armed: bool = True):
         self._inner = inner
@@ -226,14 +234,14 @@ class FaultyTransport:
         self.dropped = 0
         self.duplicated = 0
 
-    def send(self, data: bytes) -> None:
+    def send(self, frame: btp.BtpFrame) -> None:
         if self.armed and self._rng.random() < self._plan.drop_rate:
             self.dropped += 1
             return
-        self._inner.send(data)
+        self._inner.send(frame)
         if self.armed and self._rng.random() < self._plan.duplicate_rate:
             self.duplicated += 1
-            self._inner.send(data)
+            self._inner.send(frame)
 
     def attach(self, endpoint: "LinkEndpoint") -> None:
         self._inner.attach(endpoint)
@@ -324,13 +332,13 @@ class LinkEndpoint:
     meanwhile.
 
     An endpoint built with `accept` is the accepting side of a link: it
-    authenticates the first frame inline, through the same decode and
-    Error-frame path as every later one. The frame must be a Message
-    carrying an auth entry name||0x00||token. `accept` checks the token
-    and wires the endpoint up (sets its handler) before the ack goes out,
-    so the peer's first request finds it ready; if it raises, the auth is
-    answered "refused: ...". A link whose first frame does not
-    authenticate is closed, and so is a TCP connection whose first frame
+    authenticates the first frame inline, through the same Error-frame path
+    as every later one. The frame must be a Message carrying an auth entry
+    name||0x00||token. `accept` checks the token and wires the endpoint up
+    (sets its handler) before the ack goes out, so the peer's first request
+    finds it ready; if it raises, the auth is answered "refused: ...". A
+    link whose first frame does not authenticate is closed, and so,
+    unanswered, is a TCP connection whose first frame does not decode or
     does not arrive within AUTH_TIMEOUT. In-process memory links have no
     such deadline: their dialer authenticates on the same thread.
 
@@ -375,8 +383,7 @@ class LinkEndpoint:
             self._next_id = rid % (2**32 - 1) + 1  # ids run 1 .. 2**32-1, then wrap
             self._pending[rid] = slot
         try:
-            frame = btp.BtpFrame(btp.TYPE_MESSAGE, rid, tuple(entries))
-            self.transport.send(btp.encode_frame(frame))
+            self.transport.send(btp.BtpFrame(btp.TYPE_MESSAGE, rid, tuple(entries)))
             if not inline:
                 slot[0].wait(timeout)
         finally:
@@ -402,31 +409,31 @@ class LinkEndpoint:
     # -- inbound
 
     def _read_loop(self) -> None:
-        """A TCP endpoint's reader: until EOF, or until an accepting
-        endpoint's first frame is AUTH_TIMEOUT late."""
+        """A TCP endpoint's reader: decodes each frame it reads and drops one
+        that does not decode, until EOF, or until an accepting endpoint's
+        first frame is AUTH_TIMEOUT late or does not decode."""
         deadline = None if self._accept is None else time.monotonic() + AUTH_TIMEOUT
         while (data := self.transport.recv(None if self.authenticated else deadline)) is not None:
-            self._receive(data)
+            try:
+                frame = btp.decode_frame(data)
+            except btp.CodecError:
+                log.warning("dropping undecodable frame (%d bytes)", len(data))
+                if self._accept is not None and not self.authenticated:
+                    break
+                continue
+            self._receive(frame)
         self.close()
 
-    def _receive(self, data: bytes) -> None:
+    def _receive(self, frame: btp.BtpFrame) -> None:
         """Handle one inbound frame. An accepting endpoint's first frame must
         authenticate, or the link is closed. A Message's handler runs on the
         calling thread if the transport is inline, else on a shared handler
         thread."""
-        try:
-            frame = btp.decode_frame(data)
-        except Exception:
-            log.warning("dropping undecodable frame (%d bytes)", len(data))
-            frame = None
         if self._accept is not None and not self.authenticated:
-            if frame is not None:
-                self._handle_message(frame)
+            self._handle_message(frame)
             if not self.authenticated:
                 log.info("closing a link that did not authenticate")
                 self.close()
-        elif frame is None:
-            return
         elif frame.frame_type != btp.TYPE_MESSAGE:
             self._dispatch_response(frame)
         elif self._first_delivery(frame.request_id):
@@ -468,15 +475,18 @@ class LinkEndpoint:
     def _handle_message(self, frame: btp.BtpFrame) -> None:
         rid = frame.request_id
         try:
-            entries = self._process_message(frame)
-            reply = btp.encode_frame(btp.BtpFrame(btp.TYPE_RESPONSE, rid, tuple(entries)))
+            reply = btp.BtpFrame(btp.TYPE_RESPONSE, rid, tuple(self._process_message(frame)))
         except PeerError as exc:
-            reply = btp.encode_frame(_error_frame(rid, exc.code, exc.message))
-        except Exception:  # a failed handler, or a reply that cannot be encoded
+            reply = _error_frame(rid, exc.code, exc.message)
+        except Exception:  # a failed handler, also one whose reply entry is refused
             log.exception("message handler failed")
-            reply = btp.encode_frame(_error_frame(rid, "T00", "internal error"))
+            reply = _error_frame(rid, "T00", "internal error")
         try:
-            self.transport.send(reply)
+            try:
+                self.transport.send(reply)
+            except ValueError:  # a reply the TCP wire cannot carry
+                log.exception("reply could not be encoded")
+                self.transport.send(_error_frame(rid, "T00", "internal error"))
         except LinkClosed:
             pass
 

@@ -158,9 +158,9 @@ class StreamServer:
 
     def _extract_token(self, destination: ilp.IlpAddress) -> Optional[str]:
         base = self.base_address
-        if base is None or base == destination or not base.is_prefix_of(destination):
+        if base is None or not destination.startswith(base + "."):
             return None
-        return destination.segments[len(base.segments)]
+        return destination[len(base) + 1 :].partition(".")[0]
 
 
 @dataclass

@@ -200,6 +200,7 @@ def test_decoded_frame_equals_constructed_frame():
         lambda: btp.BtpFrame(9, 0),
         lambda: btp.BtpFrame(btp.TYPE_MESSAGE, -1),
         lambda: btp.BtpFrame(frame_type=btp.TYPE_MESSAGE, request_id=2**32),
+        lambda: btp.ProtocolEntry("\u00e9", 0, b""),  # names are ASCII
     ],
 )
 def test_bad_constructor_arguments_raise_value_error(make):

@@ -355,6 +355,30 @@ def test_duplicate_child_rejected(clock):
         conn.register_child(dup)
 
 
+def test_dial_after_a_refused_dial_succeeds(clock):
+    def connector(name, peer_account):
+        conn = conn_mod.Connector(
+            f"g.{name}", rates.RateBackend("one-to-one"), {"xrp": make_ledger()},
+            clock=clock, event_log=EventLog(), name=name,
+        )
+        conn.add_account(account(peer_account, relation="peer", secret="tok"))
+        return conn
+
+    conn1, conn2 = connector("conn1", "b"), connector("conn2", "a")
+    t_a, t_b = link.memory_pair()
+    conn2.accept_transport("a", t_b)
+    with pytest.raises(link.AuthFailed):
+        conn1.dial("b", t_a, "conn1", "wrong")
+    assert conn1.peers == {}
+    t_a, t_b = link.memory_pair()
+    conn2.accept_transport("a", t_b)
+    peer = conn1.dial("b", t_a, "conn1", "tok")
+    assert list(conn1.peers.values()) == [peer]
+    assert not peer.endpoint.closed.is_set()
+    (answer,) = peer.endpoint.request([peering.json_entry("ledger_identity", {})])
+    assert answer.name == "ledger_identity"
+
+
 def test_load_connector_warns_only_for_unknown_keys(caplog):
     config = {
         "ilp_address": "g.conn1",

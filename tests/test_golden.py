@@ -6,7 +6,8 @@ times: as written, with each ledger behind `LedgerApiServer` and used
 through `RemoteLedger`, with each link a pair of `TcpTransport`s over a
 socket pair, and with both, as the multi-process test-bed has them. All runs
 must match the same file, so the memory run is the oracle of the other
-three.
+three. Every case, faulty ones too, also runs with the BTP codec made to
+raise: memory links carry frames and never encode them.
 
 `tests/golden/faulty/` holds the same specs and seeds under each fault plan
 in FAULTS, with the acceptance sweep's short timeouts. A faulty memory run
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from ilpsim import link, scenario
+from ilpsim import btp, link, scenario
 from ilpsim.ledger_http import LedgerApiServer, RemoteLedger
 from test_acceptance import FAULT_TIMEOUTS
 
@@ -60,6 +61,22 @@ def test_fault_free_report_matches_golden(name, seed):
 
 @pytest.mark.parametrize("name,seed,plan", FAULTY_CASES)
 def test_faulty_report_matches_golden(name, seed, plan):
+    assert _report(name, seed, plan) == _path(name, seed, plan).read_text()
+
+
+@pytest.fixture
+def no_btp_codec(monkeypatch):
+    """Makes the BTP codec raise, so a memory link that calls it fails."""
+
+    def refuse(_frame):
+        raise AssertionError("a memory link called the BTP codec")
+
+    monkeypatch.setattr(btp, "encode_frame", refuse)
+    monkeypatch.setattr(btp, "decode_frame", refuse)
+
+
+@pytest.mark.parametrize("name,seed,plan", [(*case, "") for case in CASES] + FAULTY_CASES)
+def test_report_without_btp_codec_matches_golden(no_btp_codec, name, seed, plan):
     assert _report(name, seed, plan) == _path(name, seed, plan).read_text()
 
 

@@ -71,13 +71,14 @@ def test_first_frame_without_auth_entry_refused():
 
 
 def test_undecodable_first_frame_closes_unanswered():
-    ct, st = link.memory_pair()
-    server = link.LinkEndpoint(st, accept=accepting({"homeuser": "secret"}))
-    answers = []
-    st.send = answers.append
-    ct.send(b"\xff not a frame")
-    assert server.closed.wait(2)
-    assert answers == []  # closed with no Error frame
+    near, far = socket.socketpair()  # only TCP carries bytes that may not decode
+    server = link.LinkEndpoint(link.TcpTransport(near), accept=accepting({"homeuser": "secret"}))
+    with far:
+        garbage = b"\xff not a frame"
+        far.sendall(len(garbage).to_bytes(4, "big") + garbage)
+        assert server.closed.wait(2)
+        far.settimeout(2)
+        assert far.recv(1) == b""  # EOF: closed with no Error frame
 
 
 def test_second_auth_is_protocol_violation():
@@ -132,7 +133,7 @@ def test_request_ids_strictly_increase():
         for _ in range(count):
             with pytest.raises(link.Timeout):
                 client.request([entry("q")], timeout=1)
-        return [btp.decode_frame(data).request_id for data in sent]
+        return [frame.request_id for frame in sent]
 
     assert ids(3) == [1, 2, 3]
     client._next_id = 2**32 - 1
@@ -190,7 +191,7 @@ def test_duplicate_message_handled_once():
         return []
 
     client, server = make_pair(server_handler=handler)
-    frame = btp.encode_frame(btp.BtpFrame(btp.TYPE_MESSAGE, 999, (entry("ilp", b"dup"),)))
+    frame = btp.BtpFrame(btp.TYPE_MESSAGE, 999, (entry("ilp", b"dup"),))
     client.transport.send(frame)
     client.transport.send(frame)
     time.sleep(0.2)
@@ -206,7 +207,7 @@ def test_duplicate_message_from_many_threads_handled_once():
         return []
 
     client, server = make_pair(server_handler=handler)
-    frame = btp.encode_frame(btp.BtpFrame(btp.TYPE_MESSAGE, 999, (entry("ilp", b"dup"),)))
+    frame = btp.BtpFrame(btp.TYPE_MESSAGE, 999, (entry("ilp", b"dup"),))
     go = threading.Barrier(8)
 
     def send():
@@ -491,17 +492,22 @@ def test_unencodable_reply_answered_t00_over_memory():
     assert time.monotonic() - started < 1.0
 
 
+def oversize_reply(_ep, entries):
+    return [btp.ProtocolEntry("big", 0, bytes(40_000))] * 2  # a body over 65,535 bytes
+
+
 def test_unencodable_reply_answered_t00_over_tcp():
-    client, listener = tcp_pair(unencodable_reply)
-    try:
-        started = time.monotonic()
-        with pytest.raises(link.PeerError) as err:
-            client.request([entry("q")], timeout=5)
-        assert (err.value.code, err.value.message) == ("T00", "internal error")
-        assert time.monotonic() - started < 1.0
-    finally:
-        client.close()
-        listener.close()
+    for handler in (unencodable_reply, oversize_reply):
+        client, listener = tcp_pair(handler)
+        try:
+            started = time.monotonic()
+            with pytest.raises(link.PeerError) as err:
+                client.request([entry("q")], timeout=5)
+            assert (err.value.code, err.value.message) == ("T00", "internal error")
+            assert time.monotonic() - started < 1.0
+        finally:
+            client.close()
+            listener.close()
 
 
 def test_parse_btp_uri():

@@ -90,6 +90,15 @@ def test_receiver_recomputes_fulfillment(server):
     assert server.total_received == 42
 
 
+@pytest.mark.parametrize(
+    "suffix,token",
+    [("", None), ("x.tok", None), (".tok", "tok"), (".tok.deeper.still", "tok")],
+    ids=["base", "sibling", "token", "deeper"],
+)
+def test_extract_token(server, suffix, token):
+    assert server._extract_token(ilp.IlpAddress(server.base_address + suffix)) == token
+
+
 def test_unknown_token_rejected_f06(server):
     clock = SimClock()
     prepare = ilp.PreparePacket(
