@@ -234,10 +234,7 @@ def spsp_send(
     except Exception as exc:
         raise click.ClickException(f"cannot reach node local port: {exc}")
     try:
-        url = spsp.resolve_pointer(receiver, scheme="http") if receiver.startswith("$") else receiver
-        credentials = spsp.query(url).credentials()
-        sender = stream.StreamSender(app.send_packet, credentials)
-        report = sender.send_money(amount, max_packet)
+        report = spsp.pay(receiver, amount, app, max_packet_amount=max_packet)
     except stream.PaymentError as exc:
         partial = exc.report.to_json() if exc.report else {}
         click.echo(json.dumps({"error": str(exc), **partial}))

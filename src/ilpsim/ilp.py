@@ -50,7 +50,6 @@ _ERROR_CODE_RE = re.compile(r"[FTR][0-9][0-9]")
 
 # Error codes used across the stack. Only F08 and T04 are externally fixed;
 # the rest follow the conventional class letters (F final, T temporary, R relative).
-F00_BAD_REQUEST = "F00"
 F02_UNREACHABLE = "F02"
 F05_WRONG_CONDITION = "F05"
 F06_UNEXPECTED_PAYMENT = "F06"

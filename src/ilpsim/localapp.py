@@ -44,6 +44,9 @@ class LocalApp:
         timeout = timeout if timeout is not None else self.timeout
         return peering.send_prepare(self.endpoint, prepare, timeout, LOCAL_APP_ADDRESS)
 
+    def open_stream(self, credentials: stream.StreamCredentials, **kwargs) -> stream.StreamSender:
+        return stream.StreamSender(self.send_packet, credentials, **kwargs)
+
     def listen(self, server: stream.StreamServer) -> stream.StreamServer:
         """Register as the node's packet sink, delivering to a stream server
         anchored at the node's local address."""

@@ -150,7 +150,7 @@ class Topology:
         conn = self.connectors[cfg["connector"]]
         account_id = cfg["account"]
         account = conn.accounts[account_id]
-        ledger = self.ledgers[cfg["uplink"].get("ledger", account.ledger_id)]
+        ledger = self.ledgers[account.ledger_id]
         node_cfg = uplink.uplink_from_config({"name": name, **cfg["uplink"]})
         settles = node_cfg.channel_amount or account.outgoing_channel_amount
         _check_policies(f"node {name}", node_cfg.policy, account.policy, settles)
@@ -253,7 +253,7 @@ class Topology:
 
 def _check_policies(what: str, a: BalancePolicy, b: BalancePolicy, settles: int) -> None:
     """Refuse two peers that settle (`settles`: either opens a channel) but
-    whose policies would have one settle only once it owes the most that the
+    whose policies would have one settle only once it owes more than the
     other lets it owe. Where nothing settles, the maxima alone bound it."""
     if settles and not check_peering_compat(a, b):
         raise ValueError(f"{what}: incompatible balance policies {a} and {b}")
@@ -344,8 +344,6 @@ def _run_pay(topology: Topology, action: dict, report: ScenarioReport) -> None:
         if exc.report is not None:
             entry.update(exc.report.to_json())
         entry["error"] = f"{type(exc).__name__}: {exc}"
-        if action.get("expect") == "success":
-            raise ScenarioAssertFailed("pay", str(exc)) from exc
     entry["delivered"] = payee_server.total_received - before
     report.payments.append(entry)
 

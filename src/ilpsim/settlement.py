@@ -52,7 +52,9 @@ def policy_from_config(cfg: dict) -> BalancePolicy:
 
 
 def check_peering_compat(a: BalancePolicy, b: BalancePolicy) -> bool:
-    return (-a.settle_threshold < b.maximum) and (-b.settle_threshold < a.maximum)
+    """Each side reaches its settle threshold, after at least one unit, before
+    it owes more than the other side's maximum."""
+    return max(1, -a.settle_threshold) <= b.maximum and max(1, -b.settle_threshold) <= a.maximum
 
 
 class BilateralBalance:

@@ -9,6 +9,7 @@ from typing import Union
 
 from . import ilp, stream
 from .admin import AdminServer, HttpError, call_json
+from .localapp import LocalApp
 from .uplink import UplinkNode
 
 WELL_KNOWN_PATH = "/.well-known/pay"
@@ -103,26 +104,19 @@ class SpspServer(AdminServer):
         return super().url + self.path
 
 
-def serve(uplink: UplinkNode, port: int = 0, path: str = WELL_KNOWN_PATH) -> SpspServer:
-    if uplink.address is None:
-        raise RuntimeError("uplink is not connected")
-    if uplink.stream_server is None:
-        uplink.attach_stream_server(stream.StreamServer())
-    return SpspServer(uplink.stream_server, port=port, path=path)
-
-
 Receiver = Union[str, stream.StreamCredentials, stream.StreamServer]
 
 
 def pay(
     receiver: Receiver,
     amount: int,
-    uplink: UplinkNode,
+    uplink: UplinkNode | LocalApp,
     max_packet_amount: int = 2**63,
     scheme: str = "http",
     **sender_kwargs,
 ) -> stream.SendReport:
-    """Resolve (if needed), fetch credentials, and stream the amount.
+    """Resolve (if needed), fetch credentials, and stream the amount from an
+    uplink node or from a local app on one.
 
     The receiver may be a payment pointer ("$host/path"), a raw endpoint URL,
     pre-fetched credentials, or an in-process StreamServer."""

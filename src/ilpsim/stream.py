@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import secrets as _secrets
+import random
 import threading
 from dataclasses import asdict, dataclass
 from datetime import timedelta
-from random import Random
 from typing import Callable, Optional
 
 from . import ilp
@@ -31,6 +30,7 @@ from .events import EventLog, NULL_LOG
 FRAME_VERSION = 1
 DEFAULT_RETRY_BUDGET = 10
 PACKET_LIFETIME = timedelta(seconds=30)
+TOKEN_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-"
 
 
 class PaymentError(Exception):
@@ -74,47 +74,29 @@ class StreamServer:
     def __init__(
         self,
         base_address: Optional[ilp.IlpAddress] = None,
-        rng: Optional[Random] = None,
+        rng: Optional[random.Random] = None,
         component: str = "stream-server",
         event_log: EventLog = NULL_LOG,
     ):
         self.base_address = base_address
-        self._rng = rng
+        self._rng = rng or random.SystemRandom()
         self._registry: dict[str, dict] = {}
         self._lock = threading.Lock()
         self.component = component
         self.events = event_log
         self.total_received = 0
 
-    def _random_token(self) -> str:
-        if self._rng is not None:
-            return "".join(
-                self._rng.choice("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-")
-                for _ in range(22)
-            )
-        return _secrets.token_urlsafe(16).replace("=", "")
-
-    def _random_secret(self) -> bytes:
-        if self._rng is not None:
-            return self._rng.randbytes(32)
-        return _secrets.token_bytes(32)
-
     def generate_credentials(self) -> StreamCredentials:
         if self.base_address is None:
             raise RuntimeError("server has no uplink address yet")
         with self._lock:
             while True:
-                token = self._random_token()
+                token = "".join(self._rng.choice(TOKEN_ALPHABET) for _ in range(22))
                 if token not in self._registry:
                     break
-            secret = self._random_secret()
+            secret = self._rng.randbytes(32)
             self._registry[token] = {"secret": secret, "received": 0, "seen": set()}
         return StreamCredentials(self.base_address.with_suffix(token), secret)
-
-    def secret_for(self, token: str) -> Optional[bytes]:
-        with self._lock:
-            record = self._registry.get(token)
-            return record["secret"] if record else None
 
     def received_for(self, token: str) -> int:
         with self._lock:

@@ -24,8 +24,6 @@ NODE_ADDRESS = ilp.parse_address("self.node")
 class UplinkConfig:
     name: str  # BTP auth name presented to the parent
     token: str
-    asset_code: str
-    asset_scale: int
     policy: BalancePolicy
     ledger_account: str  # this node's funded account on the ledger
     channel_amount: int = 0  # escrow for the channel opened towards the parent
@@ -36,12 +34,12 @@ class UplinkConfig:
 
 
 def uplink_from_config(cfg: dict) -> UplinkConfig:
-    """Accepts the conventional uplink option keys (server, assetCode,
-    assetScale, balance{...}, ledgerAccount, channelAmount...)."""
+    """Accepts the conventional uplink option keys (server, balance{...},
+    ledgerAccount, channelAmount...). The node learns its asset from its
+    parent over ILDCP, so a config names none."""
     known = {
-        "server", "name", "token", "assetCode", "assetScale", "balance",
-        "ledgerAccount", "channelAmount", "settleDelay", "localAppPort", "localSecret",
-        "ledger", "ledgerApi", "fund", "adminApiPort",
+        "server", "name", "token", "balance", "ledgerAccount", "channelAmount",
+        "settleDelay", "localAppPort", "localSecret", "ledgerApi", "fund", "adminApiPort",
     }
     for key in set(cfg) - known:
         log.warning("uplink config: ignoring unknown key %r", key)
@@ -52,8 +50,6 @@ def uplink_from_config(cfg: dict) -> UplinkConfig:
     return UplinkConfig(
         name=name,
         token=token,
-        asset_code=cfg["assetCode"],
-        asset_scale=int(cfg["assetScale"]),
         policy=policy_from_config(cfg.get("balance", {})),
         ledger_account=cfg["ledgerAccount"],
         channel_amount=int(cfg.get("channelAmount", 0)),
@@ -76,7 +72,10 @@ class UplinkNode:
         self.ledger = ledger
         self.clock = clock or SimClock()
         self.events = event_log
+        # learnt from the parent's ILDCP answer in connect()
         self.address: Optional[ilp.IlpAddress] = None
+        self.asset_code: Optional[str] = None
+        self.asset_scale: Optional[int] = None
         self.signing_key, self._pubkey = lg.generate_keypair()
         self.parent = peering.Peer(
             "parent",
@@ -96,7 +95,7 @@ class UplinkNode:
 
     def connect(self, transport) -> None:
         """Authenticate to the parent over an established transport, learn the
-        child address, and open the outgoing payment channel."""
+        child address and asset, and open the outgoing payment channel."""
         endpoint = link.LinkEndpoint(transport)
         self.parent.attach(
             endpoint,
@@ -105,6 +104,7 @@ class UplinkNode:
         endpoint.authenticate(self.config.name, self.config.token, timeout=self.request_timeout)
         info = peering.query(endpoint, "ildcp", self.request_timeout)
         self.address = ilp.parse_address(info["ilp_address"])
+        self.asset_code, self.asset_scale = info["asset_code"], info["asset_scale"]
         if self.stream_server is not None:
             self.stream_server.base_address = self.address.with_suffix("local")
         self.events.emit(self.parent.component, "address_assigned", address=self.address)
@@ -181,7 +181,7 @@ class UplinkNode:
             if self.address is None:
                 raise link.PeerError("T00", "no address assigned yet")
             return peering.ildcp_entry(
-                self.address.with_suffix("local"), self.config.asset_code, self.config.asset_scale
+                self.address.with_suffix("local"), self.asset_code, self.asset_scale
             )
 
         def listen(_data: bytes) -> btp.ProtocolEntry:
@@ -204,8 +204,8 @@ class UplinkNode:
         return {
             "name": self.config.name,
             "address": self.address,
-            "asset_code": self.config.asset_code,
-            "asset_scale": self.config.asset_scale,
+            "asset_code": self.asset_code,
+            "asset_scale": self.asset_scale,
             "ilp_balance": self.parent.balance.value,
             "ledger_balance": account.balance,
             "channels": [
@@ -229,17 +229,11 @@ class UplinkNode:
                 continue
             try:
                 result = self.ledger.close_channel(channel.channel_id, self.config.ledger_account)
-            except lg.LedgerError:
-                closing.append(channel.channel_id)  # still inside the delay window
-                continue
-            if result.state == lg.CLOSING:
-                try:
+                if result.state == lg.CLOSING:
                     self.ledger.finalize_closing(channel.channel_id)
-                    closed.append(channel.channel_id)
-                except lg.LedgerError:
-                    closing.append(channel.channel_id)
-            else:
                 closed.append(channel.channel_id)
+            except lg.LedgerError:  # still inside the settle-delay window
+                closing.append(channel.channel_id)
         return {"closed": closed, "closing": closing}
 
     def close(self) -> None:

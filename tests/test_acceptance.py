@@ -100,12 +100,9 @@ def _two_node_spec(policy: dict, channel: int, fund: int, genesis: int = 10**9) 
             "uplink": {
                 "name": name,
                 "token": f"{name}-pw",
-                "assetCode": "XRP",
-                "assetScale": 6,
                 "balance": policy,
                 "ledgerAccount": name,
                 "channelAmount": channel,
-                "ledger": "xrp",
             },
         }
 
@@ -189,11 +186,14 @@ def _simulate_unit_payments(payer: BalancePolicy, payee: BalancePolicy) -> bool:
 
 
 def test_peering_compat_matches_brute_force():
+    """The check agrees with a unit-payment simulation at every sample,
+    the boundary `settleThreshold == -maximum` and a maximum of 0 included."""
     rng = Random(5)
+    boundary = 0
     for _ in range(1000):
 
         def sample():
-            maximum = rng.randint(1, 60)
+            maximum = rng.randint(0, 60)
             threshold = -rng.randint(0, 60)
             return BalancePolicy(
                 maximum=maximum,
@@ -202,15 +202,10 @@ def test_peering_compat_matches_brute_force():
             )
 
         a, b = sample(), sample()
-        expected = (-a.settle_threshold - b.maximum < 0) and (
-            -b.settle_threshold - a.maximum < 0
-        )
-        assert settlement.check_peering_compat(a, b) is expected
-        # away from the exact boundary, the inequality must agree with an
-        # actual unit-payment simulation
-        if -a.settle_threshold != b.maximum and -b.settle_threshold != a.maximum:
-            simulated = _simulate_unit_payments(a, b) and _simulate_unit_payments(b, a)
-            assert settlement.check_peering_compat(a, b) is simulated
+        simulated = _simulate_unit_payments(a, b) and _simulate_unit_payments(b, a)
+        assert settlement.check_peering_compat(a, b) is simulated, (a, b)
+        boundary += -a.settle_threshold == b.maximum or -b.settle_threshold == a.maximum
+    assert boundary > 0
 
 
 # --- 6 & 7. conservation and atomicity under faults --------------------------

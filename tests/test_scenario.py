@@ -210,15 +210,23 @@ def test_assert_action_failure():
 
 def test_incompatible_balance_policies_refused_at_setup():
     node_spec = copy.deepcopy(scenario.load_builtin("xrp_single_connector"))
-    # alice settles only once she owes 1000, the most conn1 lets her owe
-    node_spec["nodes"][0]["uplink"]["balance"]["settleThreshold"] = -1000
+    # alice settles only once she owes 1001, one more than conn1 lets her owe
+    node_spec["nodes"][0]["uplink"]["balance"]["settleThreshold"] = -1001
     with pytest.raises(scenario.SetupFailed, match="node alice: incompatible balance policies"):
         scenario.Topology(node_spec, seed=0)
     peering_spec = copy.deepcopy(scenario.load_builtin("xrp_eth_two_connectors"))
     conn2 = next(c for c in peering_spec["connectors"] if c["name"] == "conn2")
-    conn2["accounts"]["conn1"]["balance"]["maximum"] = 20000000
+    conn2["accounts"]["conn1"]["balance"]["maximum"] = 19999999
     with pytest.raises(scenario.SetupFailed, match="peering:conn1:conn2: incompatible balance policies"):
         scenario.Topology(peering_spec, seed=0)
+
+
+@pytest.mark.parametrize("name", scenario.builtin_scenario_names())
+def test_builtin_spec_holds_no_unknown_keys(caplog, name):
+    """Every key of a built-in spec's connectors, accounts and nodes is read:
+    a node names no asset or ledger, which come from its connector account."""
+    scenario.Topology(scenario.load_builtin(name), seed=0).close()
+    assert [r.getMessage() for r in caplog.records if "ignoring unknown" in r.getMessage()] == []
 
 
 def test_unknown_action_rejected():

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import _simulate_unit_payments
 
 from ilpsim import connector, link, rates
 from ilpsim import ledger as lg
@@ -56,7 +57,7 @@ def test_peering_compat_against_brute_force(vals):
     a_thr, a_max, b_thr, b_max = vals
     a = stl.BalancePolicy(a_max, a_thr, min(0, a_max))
     b = stl.BalancePolicy(b_max, b_thr, min(0, b_max))
-    expected = (-a.settle_threshold < b.maximum) and (-b.settle_threshold < a.maximum)
+    expected = _simulate_unit_payments(a, b) and _simulate_unit_payments(b, a)
     assert stl.check_peering_compat(a, b) == expected
 
 

@@ -121,7 +121,7 @@ def topo():
 
 
 def test_serve_and_pay_over_http(topo):
-    endpoint = spsp.serve(topo.nodes["bob"], port=0)
+    endpoint = spsp.SpspServer(topo.servers["bob"], port=0)
     try:
         report = spsp.pay(endpoint.url, 100, topo.nodes["alice"])
         assert report.source_sent == 100
@@ -137,19 +137,6 @@ def test_pay_zero_amount_is_trivial_success(topo):
 
 
 def test_serve_requires_connected_uplink():
-    from ilpsim import ledger as lg, uplink
-
-    ledger = lg.Ledger(lg.LedgerConfig("XRP", 6, 10**6))
-    cfg = uplink.UplinkConfig(
-        name="n", token="t", asset_code="XRP", asset_scale=6,
-        policy=stream_policy(), ledger_account="n",
-    )
-    node = uplink.UplinkNode(cfg, ledger)
+    """A stream server gets its base address only once its node connects."""
     with pytest.raises(RuntimeError):
-        spsp.serve(node)
-
-
-def stream_policy():
-    from ilpsim.settlement import BalancePolicy
-
-    return BalancePolicy(maximum=100, settle_threshold=-50, settle_to=0)
+        spsp.SpspServer(stream.StreamServer())

@@ -33,11 +33,35 @@ def test_generate_credentials_shape(server):
 
 
 def test_credentials_distinct_and_retrievable(server):
+    """The server keeps each secret under its own token: a packet is
+    fulfilled only under the secret issued with its destination."""
     a = server.generate_credentials()
     b = server.generate_credentials()
     assert a.destination_account != b.destination_account
-    token = a.destination_account.segments[-1]
-    assert server.secret_for(token) == a.shared_secret
+    data = stream.packet_data(0)
+    for destination, secret, fulfilled in [
+        (a.destination_account, a.shared_secret, True),
+        (b.destination_account, b.shared_secret, True),
+        (b.destination_account, a.shared_secret, False),
+    ]:
+        prepare = ilp.PreparePacket(
+            destination=destination,
+            amount=1,
+            condition=stream.packet_condition(secret, data)[1],
+            expires_at=SimClock().now() + timedelta(seconds=30),
+            data=data,
+        )
+        assert isinstance(server.handle_prepare(prepare), ilp.FulfillPacket) is fulfilled
+
+
+def test_unseeded_server_issues_random_credentials():
+    server = stream.StreamServer(base_address=ilp.parse_address("g.conn1.bob.bob.local"))
+    issued = [server.generate_credentials() for _ in range(50)]
+    tokens = {creds.destination_account.segments[-1] for creds in issued}
+    assert len(tokens) == 50
+    assert all(len(token) == 22 and set(token) <= set(stream.TOKEN_ALPHABET) for token in tokens)
+    assert all(len(creds.shared_secret) == 32 for creds in issued)
+    assert len({creds.shared_secret for creds in issued}) == 50
 
 
 def test_packet_condition_deterministic():

@@ -84,7 +84,7 @@ def make_connector(ledger, **account_over):
 
 
 def make_node(ledger, server="", fund=True, name="alice", **over):
-    cfg = {"name": name, "token": f"{name}-pw", "assetCode": "XRP", "assetScale": 6, **over}
+    cfg = {"name": name, "token": f"{name}-pw", **over}
     if server:
         cfg["server"] = server
     node = uplink.UplinkNode(uplink.uplink_from_config({**cfg, "ledgerAccount": name}), ledger)

@@ -23,7 +23,8 @@ from urllib.parse import urlsplit
 import pytest
 
 from ilpsim.admin import call_json
-from ilpsim.connector import account_from_config
+from ilpsim.connector import account_from_config, load_connector
+from ilpsim.ledger import load_ledger
 from ilpsim.ledger_http import RemoteLedger
 from ilpsim.link import parse_btp_uri
 from ilpsim.settlement import check_peering_compat
@@ -69,7 +70,8 @@ NODE_CONFIGS = sorted(
 @pytest.mark.parametrize("path", NODE_CONFIGS, ids=lambda path: path.stem)
 def test_shipped_node_config_matches_its_connector_account(path):
     """Each node and the connector account its `server` URI names agree on
-    the token, the asset, and balance policies that can settle."""
+    the token and on balance policies that can settle. The node learns its
+    asset from that account over ILDCP."""
     cfg = json.loads(path.read_text())
     uri = parse_btp_uri(cfg["server"])
     accounts = json.loads((ROOT / "testbed" / "connector.json").read_text())["accounts"]
@@ -77,7 +79,17 @@ def test_shipped_node_config_matches_its_connector_account(path):
     node = uplink_from_config(cfg)
     assert check_peering_compat(node.policy, account.policy)
     assert uri.token == account.secret
-    assert (node.asset_code, node.asset_scale) == (account.asset_code, account.asset_scale)
+
+
+def test_shipped_configs_hold_no_unknown_keys(caplog):
+    """Each config under `testbed/` loads through its loader without a key
+    that the loader ignores."""
+    ledger = load_ledger(json.loads((ROOT / "testbed" / "ledger.json").read_text()))
+    connector = json.loads((ROOT / "testbed" / "connector.json").read_text())
+    load_connector(connector, {ledger_id: ledger for ledger_id in connector["ledgers"]})
+    for path in NODE_CONFIGS:
+        uplink_from_config(json.loads(path.read_text()))
+    assert [r.getMessage() for r in caplog.records if "ignoring unknown" in r.getMessage()] == []
 
 
 def rebind(text: str, ports: dict[int, int]) -> str:
@@ -189,6 +201,9 @@ def test_payment_across_separate_processes(cli, tmp_path):
     bob = run("node", "info", "--admin-url", nodes["bob"]["admin"])
     assert (alice["name"], alice["address"]) == ("alice", nodes["alice"]["address"])
     assert (bob["name"], bob["address"]) == ("bob", nodes["bob"]["address"])
+    # neither node config names an asset: each learnt it from conn1 over ILDCP
+    for info in (alice, bob):
+        assert (info["asset_code"], info["asset_scale"]) == ("XRP", 6)
     assert alice["ilp_balance"] == -100
     assert bob["ilp_balance"] == 100
     assert [c["direction"] for c in alice["channels"]] == ["outgoing", "incoming"]
