@@ -1,9 +1,9 @@
 """The ILSP core: accepts child/peer/parent links, assigns child addresses,
 routes Prepares by longest prefix, converts amounts with a rate backend,
 enforces the middleware pipeline, and relays Fulfill/Reject backward.
-Prepares and Fulfills pass through as bytes: a Prepare is read once and
-forwarded with its amount and expiry rewritten in place, and a Fulfill is
-relayed as received once it matches the condition.
+A Prepare is forwarded with only its amount and expiry written over (see
+ilp.PreparePacket.forward), and a Fulfill is relayed as it came once it
+matches the condition.
 
 Middleware order on an incoming Prepare is fixed: expiry, maxPacketAmount
 (F08), trust limit (T04), then route lookup (F02, also when the next hop has
@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import timedelta
 from typing import Optional
 
 from . import btp, ilp, ledger as lg, link, peering, rates
@@ -225,7 +225,7 @@ class Connector:
     def _serve(self, peer: ConnectorPeer, endpoint: link.LinkEndpoint) -> None:
         peer.attach(
             endpoint,
-            ilp=peering.ilp_handler(lambda data: self.handle_prepare(peer, data)),
+            ilp=peering.ilp_handler(lambda prepare: self.handle_prepare(peer, prepare)),
             ildcp=lambda _data: self._ildcp_response(peer),
             channel=lambda data: self._accept_channel(peer, data),
         )
@@ -246,20 +246,19 @@ class Connector:
 
     # -- packet pipeline
 
-    def handle_prepare(self, from_peer: ConnectorPeer, data: bytes) -> bytes | ilp.RejectPacket:
-        """Run the pipeline on an encoded Prepare. It is forwarded as bytes,
-        with only its amount and expiry rewritten, and the next hop's Fulfill
-        is relayed as the bytes received once its fulfillment matches the
-        condition; a Reject is returned decoded, so its code can be read.
-        Bytes that are no Prepare raise CodecError."""
-        amount, expires_at, condition_b, destination, _payload, head = ilp.read_prepare(data)
+    def handle_prepare(
+        self, from_peer: ConnectorPeer, prepare: ilp.PreparePacket
+    ) -> ilp.FulfillPacket | ilp.RejectPacket:
+        """Run the pipeline on a Prepare from `from_peer` and return the
+        next hop's Fulfill as it came, or a Reject."""
         account = from_peer.account
-        condition = condition_b.hex()
+        amount = prepare.amount
+        condition = prepare.condition.hex()
         self.events.emit(
             self.name, "prepare_in", peer=from_peer.peer_id, amount=amount, condition=condition,
         )
         # 1. expiry
-        if self.clock.now() + MIN_MESSAGE_WINDOW >= expires_at:
+        if self.clock.now() + MIN_MESSAGE_WINDOW >= prepare.expires_at:
             return self._reject(ilp.R00_TRANSFER_TIMED_OUT, "insufficient time before expiry")
         # 2. max packet amount
         if account.max_packet_amount is not None and amount > account.max_packet_amount:
@@ -268,26 +267,22 @@ class Connector:
                 f"amount {amount} exceeds maximum of {account.max_packet_amount}",
             )
         # 3. trust limit
-        return from_peer.hold(
-            amount, self.address, self._forward,
-            from_peer, data, head, amount, expires_at, condition_b, condition, destination,
-        )
+        return from_peer.hold(amount, self.address, self._forward, from_peer, prepare, condition)
 
     def _forward(
-        self, from_peer: ConnectorPeer, data: bytes, head: int, amount: int,
-        expires_at: datetime, condition_b: bytes, condition: str, destination: ilp.IlpAddress,
-    ) -> bytes | ilp.RejectPacket:
-        """Steps 4 to 7 of handle_prepare, for a Prepare whose amount is held:
-        the fields ilp.read_prepare read from `data`, and `condition_b` in hex."""
+        self, from_peer: ConnectorPeer, prepare: ilp.PreparePacket, condition: str
+    ) -> ilp.FulfillPacket | ilp.RejectPacket:
+        """Steps 4 to 7 of handle_prepare, for a Prepare whose amount is held
+        and whose condition is `condition` in hex."""
         account = from_peer.account
         # 4. route: a next hop that has no peer, or is the sender, is no route
-        to_peer = self.peers.get(self.routes.lookup(destination))
+        to_peer = self.peers.get(self.routes.lookup(prepare.destination))
         if to_peer is None or to_peer is from_peer:
-            return self._reject(ilp.F02_UNREACHABLE, f"no route to {destination}")
+            return self._reject(ilp.F02_UNREACHABLE, f"no route to {prepare.destination}")
         # 5. convert and forward
         try:
             out_amount = self.backend.convert(
-                amount,
+                prepare.amount,
                 account.asset_code,
                 account.asset_scale,
                 to_peer.account.asset_code,
@@ -299,14 +294,12 @@ class Connector:
             return self._reject(
                 ilp.F08_AMOUNT_TOO_LARGE, f"converted amount {out_amount} exceeds 64 bits"
             )
-        forwarded = ilp.rewrite_prepare(
-            data, head, out_amount, expires_at - EXPIRY_DECREMENT
-        )
+        forwarded = prepare.forward(out_amount, prepare.expires_at - EXPIRY_DECREMENT)
         self.events.emit(
             self.name, "prepare_forwarded", peer=to_peer.peer_id, amount=out_amount,
             condition=condition,
         )
-        response = peering.relay_prepare(
+        response = peering.send_prepare(
             to_peer.endpoint, forwarded, self.forward_timeout, self.address
         )
         # 6/7. relay
@@ -315,13 +308,12 @@ class Connector:
                 self.name, "reject_relayed", condition=condition, code=response.code
             )
             return response
-        fulfill, fulfillment, _data = response
-        if not ilp.verify_fulfillment(fulfillment, condition_b):
+        if not ilp.verify_fulfillment(response.fulfillment, prepare.condition):
             self.events.emit(self.name, "fulfill_relayed", condition=condition, verified=False)
             return self._reject(ilp.F05_WRONG_CONDITION, "fulfillment does not match condition")
         to_peer.record_fulfilled(out_amount, settle_timeout=self.forward_timeout)
         self.events.emit(self.name, "fulfill_relayed", condition=condition, verified=True)
-        return fulfill
+        return response
 
     def _reject(self, code: str, message: str) -> ilp.RejectPacket:
         return ilp.RejectPacket(code=code, triggered_by=self.address, message=message)

@@ -11,19 +11,19 @@ Wire layout (big-endian throughout):
 An ILP address is an `IlpAddress`, a `str` that is checked once, when it is
 made, and goes to the wire, to events and to JSON as it is.
 
-A hop that only relays packets works on the bytes: `read_prepare` and
-`read_fulfill` check a packet as `decode_packet` does (which is built on
-them) and return its fields, and `rewrite_prepare` writes a new amount and
-expiry over a Prepare's fixed-width head.
+A packet is its wire encoding: `PreparePacket`, `FulfillPacket` and
+`RejectPacket` are `bytes`, and their fields are read-only attributes. A
+packet built from fields is checked and encoded once; `decode_packet` checks
+received bytes once and keeps them as the packet, so a hop relays a packet
+exactly as it came. `PreparePacket.forward` writes a new amount and expiry
+over a Prepare's fixed-width head and keeps every other byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Union
 
 from .wire import (
     BYTES,
@@ -41,6 +41,9 @@ from .wire import (
 TYPE_PREPARE = 12
 TYPE_FULFILL = 13
 TYPE_REJECT = 14
+_PREPARE = BYTES[TYPE_PREPARE]
+_FULFILL = BYTES[TYPE_FULFILL]
+_REJECT = BYTES[TYPE_REJECT]
 
 MAX_ADDRESS_LEN = 1023
 MAX_DATA_LEN = 32767
@@ -77,6 +80,8 @@ class IlpAddress(str):
     __slots__ = ()
 
     def __new__(cls, text: str) -> "IlpAddress":
+        if text.__class__ is cls:  # checked when it was made
+            return text
         if not _ADDRESS_RE.fullmatch(text):
             raise MalformedAddress(f"bad address {text!r}")
         if len(text) > MAX_ADDRESS_LEN:
@@ -110,56 +115,126 @@ def verify_fulfillment(fulfillment: bytes, condition: bytes) -> bool:
     return condition_from_fulfillment(fulfillment) == condition
 
 
-def _check_bytes32(value: bytes, what: str) -> bytes:
+def _check_bytes32(value: bytes, what: str) -> None:
     if len(value) != 32:
         raise ValueError(f"{what} must be exactly 32 bytes, got {len(value)}")
-    return value
 
 
-@dataclass(frozen=True)
-class PreparePacket:
+def _check_data(data: bytes) -> None:
+    if len(data) > MAX_DATA_LEN:
+        raise ValueError("data exceeds 32767 bytes")
+
+
+def _check_amount(amount: int) -> None:
+    if not 0 <= amount < 2**64:
+        raise ValueError("amount must fit in an unsigned 64-bit integer")
+
+
+def _wire_expiry(ts: datetime) -> tuple[bytes, datetime]:
+    """The 17 wire digits of an expiry, and the expiry they read as."""
+    if ts.tzinfo is None:
+        raise ValueError("expires_at must be timezone-aware")
+    digits = format_expiry(ts)
+    if ts.tzinfo is not timezone.utc or ts.microsecond % 1000:
+        ts = parse_expiry(digits)
+    return digits.encode("ascii"), ts
+
+
+_new = bytes.__new__
+
+
+class IlpPacket(bytes):
+    """The bytes of one ILP packet, with its fields as read-only attributes
+    (kept in the instance dict, since a `bytes` subclass has no slots).
+    Equality and hash are those of the bytes. Made only by the constructors
+    of the three packet types and by decode_packet."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__name__}({fields})"
+
+
+class PreparePacket(IlpPacket):
     destination: IlpAddress
     amount: int
     condition: bytes
-    expires_at: datetime
-    data: bytes = b""
+    expires_at: datetime  # as the wire reads it: UTC, whole milliseconds
+    data: bytes
 
-    def __post_init__(self):
-        if not 0 <= self.amount < 2**64:
-            raise ValueError("amount must fit in an unsigned 64-bit integer")
-        _check_bytes32(self.condition, "condition")
-        if len(self.data) > MAX_DATA_LEN:
-            raise ValueError("data exceeds 32767 bytes")
-        if self.expires_at.tzinfo is None:
-            raise ValueError("expires_at must be timezone-aware")
+    def __new__(
+        cls, destination: str, amount: int, condition: bytes, expires_at: datetime,
+        data: bytes = b"",
+    ) -> "PreparePacket":
+        destination = IlpAddress(destination)
+        _check_amount(amount)
+        _check_bytes32(condition, "condition")
+        _check_data(data)
+        digits, expires_at = _wire_expiry(expires_at)
+        contents = b"".join((
+            amount.to_bytes(8, "big"), digits, condition,
+            encode_var_octets(destination.encode("ascii")), encode_var_octets(data),
+        ))
+        self = _new(cls, b"".join((_PREPARE, encode_length(len(contents)), contents)))
+        self.__dict__.update(
+            destination=destination, amount=amount, condition=condition,
+            expires_at=expires_at, data=data,
+        )
+        return self
+
+    def forward(self, amount: int, expires_at: datetime) -> "PreparePacket":
+        """This Prepare with a new amount and expiry written over its head;
+        every other byte is kept. Both fields have a fixed width, so no
+        length changes, as in the `Prepare::set_amount` and `set_expires_at`
+        setters of interledger-rs."""
+        _check_amount(amount)
+        digits, expires_at = _wire_expiry(expires_at)
+        head = 2 if self[1] < 128 else 2 + (self[1] & 0x7F)
+        packet = _new(PreparePacket, b"".join(
+            (self[:head], amount.to_bytes(8, "big"), digits, self[head + 25 :])
+        ))
+        packet.__dict__.update(self.__dict__, amount=amount, expires_at=expires_at)
+        return packet
 
 
-@dataclass(frozen=True)
-class FulfillPacket:
+class FulfillPacket(IlpPacket):
     fulfillment: bytes
-    data: bytes = b""
+    data: bytes
 
-    def __post_init__(self):
-        _check_bytes32(self.fulfillment, "fulfillment")
-        if len(self.data) > MAX_DATA_LEN:
-            raise ValueError("data exceeds 32767 bytes")
+    def __new__(cls, fulfillment: bytes, data: bytes = b"") -> "FulfillPacket":
+        _check_bytes32(fulfillment, "fulfillment")
+        _check_data(data)
+        contents = fulfillment + encode_var_octets(data)
+        self = _new(cls, b"".join((_FULFILL, encode_length(len(contents)), contents)))
+        self.__dict__.update(fulfillment=fulfillment, data=data)
+        return self
 
 
-@dataclass(frozen=True)
-class RejectPacket:
+class RejectPacket(IlpPacket):
     code: str
     triggered_by: IlpAddress
-    message: str = ""
-    data: bytes = b""
+    message: str
+    data: bytes
 
-    def __post_init__(self):
-        if not _ERROR_CODE_RE.fullmatch(self.code):
-            raise ValueError(f"bad error code {self.code!r}")
-        if len(self.data) > MAX_DATA_LEN:
-            raise ValueError("data exceeds 32767 bytes")
-
-
-IlpPacket = Union[PreparePacket, FulfillPacket, RejectPacket]
+    def __new__(
+        cls, code: str, triggered_by: str, message: str = "", data: bytes = b""
+    ) -> "RejectPacket":
+        """A message or contents of more than 65,535 bytes raise ValueError."""
+        if not _ERROR_CODE_RE.fullmatch(code):
+            raise ValueError(f"bad error code {code!r}")
+        triggered_by = IlpAddress(triggered_by)
+        _check_data(data)
+        contents = b"".join((
+            code.encode("ascii"), encode_var_octets(triggered_by.encode("ascii")),
+            encode_var_octets(message.encode("utf-8")), encode_var_octets(data),
+        ))
+        self = _new(cls, b"".join((_REJECT, encode_length(len(contents)), contents)))
+        self.__dict__.update(code=code, triggered_by=triggered_by, message=message, data=data)
+        return self
 
 
 def format_expiry(ts: datetime) -> str:
@@ -187,73 +262,69 @@ def parse_expiry(digits: str) -> datetime:
 
 
 def encode_packet(p: IlpPacket) -> bytes:
-    if isinstance(p, PreparePacket):
-        destination = p.destination.encode("ascii")
-        ptype = TYPE_PREPARE
-        contents = b"".join((
-            p.amount.to_bytes(8, "big"),
-            format_expiry(p.expires_at).encode("ascii"),
-            p.condition,
-            encode_length(len(destination)),
-            destination,
-            encode_length(len(p.data)),
-            p.data,
-        ))
-    elif isinstance(p, FulfillPacket):
-        ptype = TYPE_FULFILL
-        contents = b"".join((p.fulfillment, encode_length(len(p.data)), p.data))
-    elif isinstance(p, RejectPacket):
-        ptype = TYPE_REJECT
-        contents = b"".join((
-            p.code.encode("ascii"),
-            encode_var_octets(p.triggered_by.encode("ascii")),
-            encode_var_octets(p.message.encode("utf-8")),
-            encode_var_octets(p.data),
-        ))
-    else:
-        raise TypeError(f"not an ILP packet: {type(p).__name__}")
-    return b"".join((BYTES[ptype], encode_length(len(contents)), contents))
+    """A packet's wire encoding: its bytes."""
+    return bytes(p)
 
 
 def decode_packet(data: bytes) -> IlpPacket:
-    """Decode one ILP packet. Bad bytes raise only CodecError: a field that is
-    complete but holds no valid value raises InvalidField."""
+    """Check one received ILP packet and keep `data` as its bytes. Bad bytes
+    raise only CodecError: a field that is complete but holds no valid value
+    raises InvalidField."""
     if not data:
         raise Truncated("empty input")
     ptype = data[0]
     if ptype == TYPE_PREPARE:
-        amount, expires_at, condition, destination, payload, _head = read_prepare(data)
-        return PreparePacket(destination, amount, condition, expires_at, payload)
-    if ptype == TYPE_FULFILL:
-        return FulfillPacket(*read_fulfill(data))
-    if ptype != TYPE_REJECT:
-        raise UnknownType(f"unknown ILP packet type {ptype}")
-    off = _open(data, TYPE_REJECT)
-    code_b, off = read_exact(data, off, 3, "error code")
-    trig_b, off = read_var_octets(data, off)
-    message_b, off = read_var_octets(data, off)
-    payload, off = read_var_octets(data, off)
-    if off != len(data):
-        raise LengthMismatch("trailing bytes inside reject contents")
-    try:
-        return RejectPacket(
-            code=code_b.decode("ascii"),
-            triggered_by=parse_address(trig_b.decode("ascii")),
-            message=message_b.decode("utf-8"),
+        off = _open(data)
+        if len(data) < off + 57:
+            raise Truncated("truncated amount, expiry or condition")
+        dest_b, end = read_var_octets(data, off + 57)
+        payload, end = read_var_octets(data, end)
+        _check_end(data, end, payload)
+        try:
+            destination = IlpAddress(dest_b.decode("ascii"))
+        except ValueError as exc:
+            raise InvalidField(str(exc)) from exc
+        packet = _new(PreparePacket, data)
+        packet.__dict__.update(
+            destination=destination,
+            amount=int.from_bytes(data[off : off + 8], "big"),
+            condition=data[off + 25 : off + 57],
+            # latin-1 maps every byte; parse_expiry refuses non-digits
+            expires_at=parse_expiry(data[off + 8 : off + 25].decode("latin-1")),
             data=payload,
         )
-    except ValueError as exc:  # undecodable text, bad address, code or data size
+        return packet
+    if ptype == TYPE_FULFILL:
+        fulfillment, end = read_exact(data, _open(data), 32, "fulfillment")
+        payload, end = read_var_octets(data, end)
+        _check_end(data, end, payload)
+        packet = _new(FulfillPacket, data)
+        packet.__dict__.update(fulfillment=fulfillment, data=payload)
+        return packet
+    if ptype != TYPE_REJECT:
+        raise UnknownType(f"unknown ILP packet type {ptype}")
+    code_b, end = read_exact(data, _open(data), 3, "error code")
+    trig_b, end = read_var_octets(data, end)
+    message_b, end = read_var_octets(data, end)
+    payload, end = read_var_octets(data, end)
+    _check_end(data, end, payload)
+    try:
+        code = code_b.decode("ascii")
+        if not _ERROR_CODE_RE.fullmatch(code):
+            raise ValueError(f"bad error code {code!r}")
+        triggered_by = IlpAddress(trig_b.decode("ascii"))
+        message = message_b.decode("utf-8")
+    except ValueError as exc:  # undecodable text, bad address or code
         raise InvalidField(str(exc)) from exc
+    packet = _new(RejectPacket, data)
+    packet.__dict__.update(code=code, triggered_by=triggered_by, message=message, data=payload)
+    return packet
 
 
-def _open(data: bytes, ptype: int) -> int:
-    """Check that `data` is one packet of type `ptype` whose length prefix
-    spans exactly the rest of it; return the offset of its contents. Since
-    the contents end where `data` ends, fields are read from `data` itself."""
-    if not data:
-        raise Truncated("empty input")
-    if data[0] != ptype:
-        raise UnknownType(f"expected ILP packet type {ptype}, got {data[0]}")
+def _open(data: bytes) -> int:
+    """Check that the length prefix of the packet `data` spans exactly the
+    rest of it; return the offset of its contents. Since the contents end
+    where `data` ends, fields are read from `data` itself."""
     length, off = read_length(data, 1)
     end = off + length
     if end > len(data):
@@ -263,64 +334,9 @@ def _open(data: bytes, ptype: int) -> int:
     return off
 
 
-# amount(8) || expiry(17) || condition(32)
-_PREPARE_HEAD = 57
-
-
-def read_prepare(data: bytes) -> tuple[int, datetime, bytes, IlpAddress, bytes, int]:
-    """Read an encoded Prepare with every check decode_packet makes, without
-    building a packet. Returns (amount, expires_at, condition, destination,
-    data, head): `head` is the offset in `data` of the fixed-width amount(8)
-    and expiry(17) that rewrite_prepare replaces. Bad bytes raise only
-    CodecError."""
-    head = _open(data, TYPE_PREPARE)
-    if len(data) < head + _PREPARE_HEAD:
-        raise Truncated("truncated amount, expiry or condition")
-    dest_b, off = read_var_octets(data, head + _PREPARE_HEAD)
-    payload, off = read_var_octets(data, off)
-    if off != len(data):
-        raise LengthMismatch("trailing bytes inside prepare contents")
-    try:
-        destination = parse_address(dest_b.decode("ascii"))
-    except ValueError as exc:
-        raise InvalidField(str(exc)) from exc
-    # latin-1 maps every byte; parse_expiry refuses non-digits
-    expires_at = parse_expiry(data[head + 8 : head + 25].decode("latin-1"))
+def _check_end(data: bytes, end: int, payload: bytes) -> None:
+    """The last field, `payload`, must end the contents and fit its bound."""
+    if end != len(data):
+        raise LengthMismatch("trailing bytes inside packet contents")
     if len(payload) > MAX_DATA_LEN:
         raise InvalidField("data exceeds 32767 bytes")
-    return (
-        int.from_bytes(data[head : head + 8], "big"),
-        expires_at,
-        data[head + 25 : head + _PREPARE_HEAD],
-        destination,
-        payload,
-        head,
-    )
-
-
-def rewrite_prepare(data: bytes, head: int, amount: int, expires_at: datetime) -> bytes:
-    """A copy of the encoded Prepare `data` with a new amount and expiry
-    written over its head (found by read_prepare); every other byte is kept.
-    Both fields have a fixed width, so no length changes, as in the
-    `Prepare::set_amount` and `set_expires_at` setters of interledger-rs."""
-    if not 0 <= amount < 2**64:
-        raise ValueError("amount must fit in an unsigned 64-bit integer")
-    return b"".join((
-        data[:head],
-        amount.to_bytes(8, "big"),
-        format_expiry(expires_at).encode("ascii"),
-        data[head + 25 :],
-    ))
-
-
-def read_fulfill(data: bytes) -> tuple[bytes, bytes]:
-    """Read an encoded Fulfill with every check decode_packet makes; returns
-    (fulfillment, data). Bad bytes raise only CodecError."""
-    off = _open(data, TYPE_FULFILL)
-    fulfillment, off = read_exact(data, off, 32, "fulfillment")
-    payload, off = read_var_octets(data, off)
-    if off != len(data):
-        raise LengthMismatch("trailing bytes inside fulfill contents")
-    if len(payload) > MAX_DATA_LEN:
-        raise InvalidField("data exceeds 32767 bytes")
-    return fulfillment, payload

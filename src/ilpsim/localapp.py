@@ -28,9 +28,7 @@ class LocalApp:
         self.stream_server: Optional[stream.StreamServer] = None
         # Prepares arrive only after listen() has set the stream server.
         table = {
-            "ilp": peering.ilp_handler(
-                lambda data: self.stream_server.handle_prepare(ilp.decode_packet(data))
-            )
+            "ilp": peering.ilp_handler(lambda prepare: self.stream_server.handle_prepare(prepare))
         }
         self.endpoint = link.LinkEndpoint(transport, handler=peering.message_handler(table))
         self.endpoint.authenticate(name, token, timeout=timeout)

@@ -3,19 +3,20 @@ channel announcements, automatic settlement claims, and claim receipt; the
 one table that answers the sub-protocol entries of inbound BTP Messages; and
 the one outbound path: `request_entry` sends an entry and returns the data of
 the reply entry of the same name, `query` is the client of the JSON
-sub-protocols, and `relay_prepare` sends an encoded ILP Prepare and returns
-its Fulfill as (bytes as received, fulfillment, data), or its Reject,
-turning link failures into Rejects; `send_prepare` wraps it for a
-PreparePacket and returns a FulfillPacket.
+sub-protocols, and `send_prepare` sends an ILP Prepare and returns its
+Fulfill or Reject packet as it came, turning link failures into Rejects.
+
+An "ilp" entry carries an ILP packet (see `ilp`), which a memory link hands
+over as the same object; only bytes read off TCP are decoded (`_packet`).
 
 Each receiving side registers a handler per entry name (see `dispatch`).
 Entries, and who answers them:
 
     "ilp"             octets  an ILP Prepare; answered with its Fulfill or
                               Reject by every Peer (connector: the packet
-                              pipeline, which relays the Prepare and its
-                              Fulfill as bytes; uplink: delivery to the local
-                              app or stream server), by the uplink's
+                              pipeline, which forwards the Prepare and relays
+                              its Fulfill as it came; uplink: delivery to the
+                              local app or stream server), by the uplink's
                               local-app port (sends it on to the parent) and
                               by a LocalApp registered as sink (its stream
                               server). A Fulfill or Reject is refused with
@@ -58,8 +59,8 @@ def json_entry(name: str, payload: dict) -> btp.ProtocolEntry:
     return btp.ProtocolEntry(name, btp.CONTENT_STRUCTURED, json.dumps(payload).encode())
 
 
-def ilp_entry(packet_bytes: bytes) -> btp.ProtocolEntry:
-    return btp.ProtocolEntry("ilp", btp.CONTENT_OCTET_STREAM, packet_bytes)
+def ilp_entry(packet: bytes) -> btp.ProtocolEntry:
+    return btp.ProtocolEntry("ilp", btp.CONTENT_OCTET_STREAM, packet)
 
 
 def ildcp_entry(address: ilp.IlpAddress, asset_code: str, asset_scale: int) -> btp.ProtocolEntry:
@@ -71,12 +72,14 @@ def ildcp_entry(address: ilp.IlpAddress, asset_code: str, asset_scale: int) -> b
 
 # Takes an entry's data; returns the reply entry, or None for no reply.
 EntryHandler = Callable[[bytes], Optional[btp.ProtocolEntry]]
-# Takes an encoded Prepare; returns its Fulfill or Reject, decoded or encoded.
-PrepareHandler = Callable[[bytes], ilp.IlpPacket | bytes]
+# Takes a Prepare; returns its Fulfill or Reject.
+PrepareHandler = Callable[[ilp.PreparePacket], ilp.FulfillPacket | ilp.RejectPacket]
 
-# The type bytes of an encoded Prepare and Fulfill.
-_PREPARE = wire.BYTES[ilp.TYPE_PREPARE]
-_FULFILL = wire.BYTES[ilp.TYPE_FULFILL]
+
+def _packet(data: bytes) -> ilp.IlpPacket:
+    """An "ilp" entry's data as a packet: a memory link hands the packet
+    over as it is, and bytes read off TCP are decoded (CodecError if bad)."""
+    return data if isinstance(data, ilp.IlpPacket) else ilp.decode_packet(data)
 
 
 def dispatch(table: dict[str, EntryHandler], entries) -> list[btp.ProtocolEntry]:
@@ -115,26 +118,12 @@ def send_prepare(
     timeout: float,
     triggered_by: ilp.IlpAddress,
 ) -> ilp.FulfillPacket | ilp.RejectPacket:
-    """relay_prepare for a Prepare packet, with its Fulfill decoded."""
-    answer = relay_prepare(endpoint, ilp.encode_packet(prepare), timeout, triggered_by)
-    if isinstance(answer, ilp.RejectPacket):
-        return answer
-    return ilp.FulfillPacket(answer[1], answer[2])
-
-
-def relay_prepare(
-    endpoint: link.LinkEndpoint, data: bytes, timeout: float, triggered_by: ilp.IlpAddress
-) -> tuple[bytes, bytes, bytes] | ilp.RejectPacket:
-    """Send an encoded Prepare as it is and return its Fulfill as the triple
-    (bytes as received, fulfillment, data), checked by ilp.read_fulfill, or
-    its Reject decoded. A timeout becomes an R00 Reject; any other link
-    failure, or an answer that is a Prepare or no ILP packet at all, a T00
-    Reject triggered by `triggered_by`."""
+    """Send a Prepare and return its Fulfill or Reject as it came. A timeout
+    becomes an R00 Reject; any other link failure, or an answer that is a
+    Prepare or no ILP packet at all, a T00 Reject triggered by
+    `triggered_by`."""
     try:
-        answer = request_entry(endpoint, ilp_entry(data), timeout)
-        if answer[:1] == _FULFILL:
-            return (answer, *ilp.read_fulfill(answer))
-        packet = ilp.decode_packet(answer)
+        answer = _packet(request_entry(endpoint, ilp_entry(prepare), timeout))
     except link.Timeout as exc:
         code, message = ilp.R00_TRANSFER_TIMED_OUT, f"timed out: {exc}"
     except link.LinkError as exc:
@@ -142,8 +131,8 @@ def relay_prepare(
     except wire.CodecError as exc:
         code, message = ilp.T00_INTERNAL_ERROR, f"undecodable answer: {exc}"
     else:
-        if isinstance(packet, ilp.RejectPacket):
-            return packet
+        if not isinstance(answer, ilp.PreparePacket):
+            return answer
         code, message = ilp.T00_INTERNAL_ERROR, "answered with a Prepare"
     return ilp.RejectPacket(code=code, triggered_by=triggered_by, message=message)
 
@@ -154,16 +143,15 @@ def message_handler(table: dict[str, EntryHandler]) -> link.MessageHandler:
 
 def ilp_handler(handle_prepare: PrepareHandler) -> EntryHandler:
     """The "ilp" entry: refuse anything but a Prepare (bad bytes raise
-    CodecError, a Fulfill or Reject F00), pass the encoded Prepare to
-    handle_prepare, which reads it, and encode its reply unless it is bytes
-    already. handle_prepare should look its method up at call time."""
+    CodecError, a Fulfill or Reject F00) and answer with the packet that
+    handle_prepare returns. handle_prepare should look its method up at call
+    time."""
 
     def handle(data: bytes) -> btp.ProtocolEntry:
-        if data[:1] != _PREPARE:
-            ilp.decode_packet(data)
+        prepare = _packet(data)
+        if not isinstance(prepare, ilp.PreparePacket):
             raise link.PeerError("F00", "only Prepare may initiate an exchange")
-        reply = handle_prepare(data)
-        return ilp_entry(reply if isinstance(reply, bytes) else ilp.encode_packet(reply))
+        return ilp_entry(handle_prepare(prepare))
 
     return handle
 

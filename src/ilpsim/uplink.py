@@ -99,7 +99,7 @@ class UplinkNode:
         endpoint = link.LinkEndpoint(transport)
         self.parent.attach(
             endpoint,
-            ilp=peering.ilp_handler(lambda data: self._handle_prepare(ilp.decode_packet(data))),
+            ilp=peering.ilp_handler(lambda prepare: self._handle_prepare(prepare)),
         )
         endpoint.authenticate(self.config.name, self.config.token, timeout=self.request_timeout)
         info = peering.query(endpoint, "ildcp", self.request_timeout)
@@ -190,7 +190,7 @@ class UplinkNode:
 
         endpoint.handler = peering.message_handler(
             {
-                "ilp": peering.ilp_handler(lambda data: self.send_packet(ilp.decode_packet(data))),
+                "ilp": peering.ilp_handler(lambda prepare: self.send_packet(prepare)),
                 "ildcp": ildcp,
                 "listen": listen,
             }

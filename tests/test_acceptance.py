@@ -254,10 +254,8 @@ def test_atomicity_over_200_fault_injected_payments(fault_sweep):
 
 
 def relay(conn, from_peer, prepare):
-    """Run the connector's pipeline on the encoded Prepare, as its link does,
-    and decode the reply as the previous hop would."""
-    reply = conn.handle_prepare(from_peer, ilp.encode_packet(prepare))
-    return ilp.decode_packet(reply if isinstance(reply, bytes) else ilp.encode_packet(reply))
+    """Run the connector's pipeline on the Prepare, as its link does."""
+    return conn.handle_prepare(from_peer, prepare)
 
 
 def test_f08_wins_over_t04():

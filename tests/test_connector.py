@@ -88,10 +88,8 @@ def prepare_for(clock, amount, dest="g.conn1.bob.bob.x", lifetime=30, data=b""):
 
 
 def relay(conn, from_peer, prepare):
-    """Run the connector's pipeline on the encoded Prepare, as its link does,
-    and decode the reply as the previous hop would."""
-    reply = conn.handle_prepare(from_peer, ilp.encode_packet(prepare))
-    return ilp.decode_packet(reply if isinstance(reply, bytes) else ilp.encode_packet(reply))
+    """Run the connector's pipeline on the Prepare, as its link does."""
+    return conn.handle_prepare(from_peer, prepare)
 
 
 def fulfill_for(prepare):
@@ -315,7 +313,7 @@ def test_relayed_fulfill_reaches_the_sender_as_the_receiver_encoded_it(clock):
     # shorten: contents of 32 + 1 + 3 bytes behind 0x81 0x24.
     contents = fulfillment + b"\x03abc"
     encoded = bytes([ilp.TYPE_FULFILL, 0x81, len(contents)]) + contents
-    assert ilp.encode_packet(ilp.decode_packet(encoded)) != encoded
+    assert bytes(ilp.FulfillPacket(fulfillment, b"abc")) != encoded
     to_peer.endpoint = RawReplyEndpoint(encoded)
     sender_side, connector_side = link.memory_pair()
     conn._serve(from_peer, link.LinkEndpoint(connector_side, authenticated=True))

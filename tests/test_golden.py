@@ -6,8 +6,9 @@ times: as written, with each ledger behind `LedgerApiServer` and used
 through `RemoteLedger`, with each link a pair of `TcpTransport`s over a
 socket pair, and with both, as the multi-process test-bed has them. All runs
 must match the same file, so the memory run is the oracle of the other
-three. Every case, faulty ones too, also runs with the BTP codec made to
-raise: memory links carry frames and never encode them.
+three. Every case, faulty ones too, also runs with the BTP codec and the
+ILP decoder made to raise: memory links hand frames and packets over as they
+are, and never encode or decode them.
 
 `tests/golden/faulty/` holds the same specs and seeds under each fault plan
 in FAULTS, with the acceptance sweep's short timeouts. A faulty memory run
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from ilpsim import btp, link, scenario
+from ilpsim import btp, ilp, link, scenario
 from ilpsim.ledger_http import LedgerApiServer, RemoteLedger
 from test_acceptance import FAULT_TIMEOUTS
 
@@ -65,19 +66,28 @@ def test_faulty_report_matches_golden(name, seed, plan):
 
 
 @pytest.fixture
-def no_btp_codec(monkeypatch):
-    """Makes the BTP codec raise, so a memory link that calls it fails."""
+def no_codecs(monkeypatch):
+    """Makes the BTP codec and the ILP decoder raise, and returns the list of
+    the calls made: a link answers a handler that raises with T00, so a call
+    need not change the report."""
+    calls = []
 
-    def refuse(_frame):
-        raise AssertionError("a memory link called the BTP codec")
+    def refuse(name):
+        def call(_data):
+            calls.append(name)
+            raise AssertionError(f"a memory link called {name}")
 
-    monkeypatch.setattr(btp, "encode_frame", refuse)
-    monkeypatch.setattr(btp, "decode_frame", refuse)
+        return call
+
+    for module, name in ((btp, "encode_frame"), (btp, "decode_frame"), (ilp, "decode_packet")):
+        monkeypatch.setattr(module, name, refuse(f"{module.__name__}.{name}"))
+    return calls
 
 
 @pytest.mark.parametrize("name,seed,plan", [(*case, "") for case in CASES] + FAULTY_CASES)
-def test_report_without_btp_codec_matches_golden(no_btp_codec, name, seed, plan):
+def test_report_without_btp_codec_matches_golden(no_codecs, name, seed, plan):
     assert _report(name, seed, plan) == _path(name, seed, plan).read_text()
+    assert no_codecs == []
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
-import dataclasses
 import hashlib
 import json
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import given, settings
@@ -224,17 +223,6 @@ garbled_packets = st.builds(
     st.integers(min_value=0),
     st.integers(min_value=0, max_value=255),
 )
-
-
-@settings(max_examples=1000, deadline=None)
-@given(st.one_of(st.binary(max_size=300), garbled_packets))
-def test_decode_raises_only_codec_error(raw):
-    try:
-        ilp.decode_packet(raw)
-    except CodecError:
-        pass
-
-
 garbled_prepares = st.builds(
     flip_byte, prepares.map(ilp.encode_packet), st.integers(min_value=0),
     st.integers(min_value=0, max_value=255),
@@ -246,59 +234,97 @@ garbled_fulfills = st.builds(
 
 
 @settings(max_examples=1000, deadline=None)
-@given(st.one_of(st.binary(max_size=300), garbled_packets, garbled_prepares))
-def test_read_prepare_raises_only_codec_error(raw):
-    try:
-        ilp.read_prepare(raw)
-    except CodecError:
-        pass
-
-
-@settings(max_examples=1000, deadline=None)
-@given(st.one_of(st.binary(max_size=300), garbled_packets, garbled_fulfills))
-def test_read_fulfill_raises_only_codec_error(raw):
-    try:
-        ilp.read_fulfill(raw)
-    except CodecError:
-        pass
-
-
-@settings(max_examples=500, deadline=None)
 @given(st.one_of(st.binary(max_size=300), garbled_packets, garbled_prepares, garbled_fulfills))
-def test_readers_accept_exactly_what_decode_accepts(raw):
-    """The readers and decode_packet make the same checks: a Prepare or
-    Fulfill reads if and only if it decodes, to the same fields."""
+def test_decode_raises_only_codec_error(raw):
     try:
-        packet = ilp.decode_packet(raw)
+        ilp.decode_packet(raw)
     except CodecError:
-        packet = None
-    for read, kind in ((ilp.read_prepare, ilp.PreparePacket), (ilp.read_fulfill, ilp.FulfillPacket)):
-        try:
-            fields = read(raw)
-        except CodecError:
-            assert not isinstance(packet, kind)
-            continue
-        assert isinstance(packet, kind)
-        if kind is ilp.FulfillPacket:
-            assert fields == (packet.fulfillment, packet.data)
-        else:
-            amount, expires_at, condition, destination, data, _head = fields
-            assert packet == ilp.PreparePacket(destination, amount, condition, expires_at, data)
+        pass
 
 
 @settings(max_examples=300, deadline=None)
 @given(prepares, st.integers(min_value=0, max_value=2**64 - 1), timestamps)
-def test_rewrite_prepare_replaces_only_amount_and_expiry(prepare, amount, expires_at):
-    encoded = ilp.encode_packet(prepare)
-    head = ilp.read_prepare(encoded)[5]
-    rewritten = ilp.rewrite_prepare(encoded, head, amount, expires_at)
-    assert len(rewritten) == len(encoded)
+def test_forward_replaces_only_amount_and_expiry(prepare, amount, expires_at):
+    forwarded = prepare.forward(amount, expires_at)
+    head = 2 if prepare[1] < 128 else 2 + (prepare[1] & 0x7F)
+    assert len(forwarded) == len(prepare)
     assert all(
-        a == b for i, (a, b) in enumerate(zip(encoded, rewritten)) if not head <= i < head + 25
+        a == b for i, (a, b) in enumerate(zip(prepare, forwarded)) if not head <= i < head + 25
     )
-    assert ilp.decode_packet(rewritten) == dataclasses.replace(
-        prepare, amount=amount, expires_at=expires_at
+    expected = ilp.PreparePacket(
+        prepare.destination, amount, prepare.condition, expires_at, prepare.data
     )
+    assert forwarded == expected
+    assert vars(ilp.decode_packet(forwarded)) == vars(forwarded) == vars(expected)
+
+
+# Any aware expiry: microseconds and offsets other than UTC, which the wire
+# does not carry, so a packet keeps the expiry as the wire reads it.
+offset_timestamps = st.datetimes(
+    min_value=datetime(2, 1, 1),
+    max_value=datetime(9998, 12, 31, 23, 59, 59, 999999),
+    timezones=st.integers(min_value=-1439, max_value=1439).map(
+        lambda minutes: timezone(timedelta(minutes=minutes))
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        st.builds(
+            ilp.PreparePacket,
+            destination=addresses.map(str),
+            amount=st.integers(min_value=0, max_value=2**64 - 1),
+            condition=st.binary(min_size=32, max_size=32),
+            expires_at=offset_timestamps,
+            data=payloads,
+        ),
+        fulfills,
+        st.builds(
+            ilp.RejectPacket,
+            code=st.from_regex(r"[FTR][0-9][0-9]", fullmatch=True),
+            triggered_by=addresses.map(str),
+            message=st.text(max_size=50),
+            data=payloads,
+        ),
+    )
+)
+def test_constructed_packet_decodes_to_equal_fields(packet):
+    decoded = ilp.decode_packet(bytes(packet))
+    assert type(decoded) is type(packet) and decoded == packet
+    assert vars(decoded) == vars(packet)
+    if isinstance(packet, ilp.PreparePacket):
+        assert packet.expires_at.tzinfo is timezone.utc
+        assert packet.expires_at.microsecond % 1000 == 0
+
+
+def test_packet_no_peer_could_decode_is_refused_when_built():
+    with pytest.raises(ilp.MalformedAddress):
+        ilp.PreparePacket("g..x", 1, bytes(32), vectors.PREPARE_EXPIRY)
+    with pytest.raises(ilp.MalformedAddress):
+        ilp.RejectPacket("F02", "not an address!")
+    with pytest.raises(ValueError):  # a message longer than a length prefix can say
+        ilp.RejectPacket("F02", "g.bob", "x" * 65536)
+
+
+def test_decoded_packet_keeps_its_input_bytes():
+    # A Fulfill whose length prefix has the long form 0x81 0x21, where the
+    # canonical encoding writes 0x21.
+    raw = bytes([ilp.TYPE_FULFILL, 0x81, 0x21]) + bytes(32) + b"\x00"
+    packet = ilp.decode_packet(raw)
+    assert bytes(packet) == raw
+    assert vars(packet) == vars(ilp.FulfillPacket(bytes(32)))
+    assert packet != ilp.FulfillPacket(bytes(32))
+
+
+def test_packet_fields_cannot_be_assigned():
+    packet = capture_prepare()
+    with pytest.raises(AttributeError):
+        packet.amount = 1
+    with pytest.raises(AttributeError):
+        del packet.amount
+    assert packet.amount == vectors.PREPARE_AMOUNT
 
 
 def test_parse_expiry_refuses_non_ascii_digits():
@@ -313,8 +339,12 @@ def test_parse_expiry_refuses_impossible_dates(digits):
 
 
 def test_prepare_before_year_1000_round_trips():
-    prepare = dataclasses.replace(
-        capture_prepare(), expires_at=datetime(999, 12, 31, 23, 59, 59, 999000, timezone.utc)
+    prepare = ilp.PreparePacket(
+        destination=ilp.parse_address(vectors.PREPARE_DESTINATION),
+        amount=vectors.PREPARE_AMOUNT,
+        condition=vectors.PREPARE_CONDITION,
+        expires_at=datetime(999, 12, 31, 23, 59, 59, 999000, timezone.utc),
+        data=vectors.PREPARE_DATA,
     )
     assert ilp.format_expiry(prepare.expires_at) == "09991231235959999"
     assert ilp.decode_packet(ilp.encode_packet(prepare)) == prepare
